@@ -85,7 +85,8 @@ int main() {
       core::HybriMoeConfig config;  // full HybriMoE
       config.prefetch.depth = std::max<std::size_t>(depth, 1);
       if (depth == 0) config.impact_prefetching = false;
-      const auto metrics = harness.run_decode(config, kDecodeSteps);
+      const auto metrics =
+          harness.run_decode(runtime::ablation_spec(config), kDecodeSteps);
       const double tbt = metrics.tbt_mean();
       if (depth == 0) base_tbt = tbt;
       table.begin_row()
@@ -162,15 +163,15 @@ int main() {
         runtime::EngineComponents c;
         c.name = check ? "checked" : "naive";
         c.scheduler = std::make_unique<sched::HybridScheduler>(options);
-        c.cache = std::make_unique<cache::ExpertCache>(
+        c.caches.push_back(std::make_unique<cache::ExpertCache>(
             cache::ExpertCache::capacity_for_ratio(m, kRatio),
-            std::make_unique<cache::MrsPolicy>());
+            std::make_unique<cache::MrsPolicy>()));
         c.dynamic_cache_inserts = true;
         c.update_policy_scores = true;
         c.cache_maintenance = true;
         runtime::OffloadEngine engine(std::move(c), harness.costs());
         const auto hottest = core::hottest_experts(harness.warmup_frequencies(),
-                                                   engine.cache().capacity());
+                                                   engine.device_cache(0).capacity());
         engine.seed_cache(hottest, /*pinned=*/false);
         return engine.run_decode(harness.decode_trace(kDecodeSteps)).tbt_mean();
       };

@@ -63,7 +63,7 @@ int main(int argc, char** argv) {
   std::vector<Row> simulated;
   for (const auto framework : runtime::kPaperFrameworks) {
     harness.set_execution(exec::ExecutionMode::Simulated, reference_executor);
-    const auto metrics = harness.run_decode(framework, kSteps);
+    const auto metrics = harness.run_decode(runtime::preset_spec(framework), kSteps);
     Row row;
     row.framework = runtime::to_string(framework);
     row.modeled = metrics.total_latency;
@@ -107,7 +107,7 @@ int main(int argc, char** argv) {
     options.workers = run.workers;
     harness.set_execution(exec::ExecutionMode::Threaded,
                           std::make_shared<exec::HybridExecutor>(options));
-    const auto metrics = harness.run_decode(run.framework, kSteps);
+    const auto metrics = harness.run_decode(runtime::preset_spec(run.framework), kSteps);
     Row row;
     row.framework = runtime::to_string(run.framework);
     row.workers = run.workers;

@@ -150,9 +150,9 @@ int main() {
       std::vector<std::pair<std::string, double>> results;
       for (const auto fw : {runtime::Framework::LlamaCpp, runtime::Framework::AdapMoE,
                             runtime::Framework::KTransformers}) {
-        const double latency = sc.prefill
-                                   ? harness.run_prefill(fw, 128).ttft()
-                                   : harness.run_decode(fw, 10).total_latency;
+        const runtime::StackSpec stack = runtime::preset_spec(fw);
+        const double latency = sc.prefill ? harness.run_prefill(stack, 128).ttft()
+                                          : harness.run_decode(stack, 10).total_latency;
         results.emplace_back(runtime::to_string(fw), latency);
       }
       const auto best = std::min_element(results.begin(), results.end(),
@@ -176,7 +176,7 @@ int main() {
     for (std::size_t n = 1; n <= 7; ++n) {
       double cpu = costs.cpu_expert_time(1, /*warm=*/false);
       for (std::size_t i = 1; i < n; ++i) cpu += costs.cpu_expert_time(1, /*warm=*/true);
-      const double gpu = static_cast<double>(n) * costs.gpu_expert_time(1);
+      const double gpu = static_cast<double>(n) * costs.gpu_expert_time(1, 0);
       table.begin_row()
           .add_cell(std::to_string(n))
           .add_cell(util::format_seconds(cpu))
@@ -196,7 +196,7 @@ int main() {
     table.set_headers({"tokens", "CPU", "GPU", "CPU/GPU"});
     for (const std::size_t tokens : {1UL, 8UL, 32UL, 128UL, 256UL, 512UL, 1024UL}) {
       const double cpu = costs.cpu_expert_time(tokens);
-      const double gpu = costs.gpu_expert_time(tokens);
+      const double gpu = costs.gpu_expert_time(tokens, 0);
       table.begin_row()
           .add_cell(std::to_string(tokens))
           .add_cell(util::format_seconds(cpu))

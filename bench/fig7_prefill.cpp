@@ -32,9 +32,11 @@ int main(int argc, char** argv) {
                          "speedup vs KTrans"});
 
       // KTransformers reference row computed first (shared traces).
+      const runtime::StackSpec ktrans_stack =
+          runtime::preset_spec(runtime::Framework::KTransformers);
       std::map<std::size_t, double> ktrans;
       for (const std::size_t len : workload::kPaperPrefillLengths)
-        ktrans[len] = harness.run_prefill(runtime::Framework::KTransformers, len).ttft();
+        ktrans[len] = harness.run_prefill(ktrans_stack, len).ttft();
 
       for (const auto& stack : args.stacks) {
         double sum = 0.0;

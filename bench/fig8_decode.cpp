@@ -34,10 +34,11 @@ int main(int argc, char** argv) {
       harnesses.push_back(
           std::make_unique<runtime::ExperimentHarness>(make_spec(model, ratio)));
 
+    const runtime::StackSpec ktrans_stack =
+        runtime::preset_spec(runtime::Framework::KTransformers);
     std::vector<double> ktrans_tbt;
     for (auto& harness : harnesses)
-      ktrans_tbt.push_back(
-          harness->run_decode(runtime::Framework::KTransformers, kDecodeSteps).tbt_mean());
+      ktrans_tbt.push_back(harness->run_decode(ktrans_stack, kDecodeSteps).tbt_mean());
 
     for (const auto& stack : args.stacks) {
       table.begin_row().add_cell(stack.display_name());

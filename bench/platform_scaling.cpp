@@ -27,8 +27,10 @@ int main() {
       auto spec = make_spec(model, 0.25);
       spec.machine = machine;
       runtime::ExperimentHarness harness(spec);
-      const auto kt = harness.run_decode(runtime::Framework::KTransformers, 48);
-      const auto hm = harness.run_decode(runtime::Framework::HybriMoE, 48);
+      const auto kt =
+          harness.run_decode(runtime::preset_spec(runtime::Framework::KTransformers), 48);
+      const auto hm =
+          harness.run_decode(runtime::preset_spec(runtime::Framework::HybriMoE), 48);
       table.begin_row()
           .add_cell(model.name)
           .add_cell(util::format_seconds(kt.tbt_mean()))

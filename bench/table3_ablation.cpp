@@ -41,7 +41,8 @@ int main() {
 
   double prefill_base = 0.0;
   for (const auto& config : prefill_variants) {
-    const double latency = harness.run_prefill(config, kPrefillTokens).ttft();
+    const double latency =
+        harness.run_prefill(runtime::ablation_spec(config), kPrefillTokens).ttft();
     if (config.label() == "Baseline") prefill_base = latency;
     table.begin_row()
         .add_cell("Prefill")
@@ -52,7 +53,8 @@ int main() {
 
   double decode_base = 0.0;
   for (const auto& config : decode_variants) {
-    const double latency = harness.run_decode(config, kDecodeSteps).total_latency;
+    const double latency =
+        harness.run_decode(runtime::ablation_spec(config), kDecodeSteps).total_latency;
     if (config.label() == "Baseline") decode_base = latency;
     table.begin_row()
         .add_cell("Decode")

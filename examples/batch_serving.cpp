@@ -45,8 +45,10 @@ int main() {
     // Traces are framework-independent: materialise once, serve copies.
     const auto requests = harness.materialize(specs);
 
-    const auto kt = harness.serve(runtime::Framework::KTransformers, requests);
-    const auto hm = harness.serve(runtime::Framework::HybriMoE, requests);
+    const auto kt =
+        harness.serve(runtime::preset_spec(runtime::Framework::KTransformers), requests);
+    const auto hm =
+        harness.serve(runtime::preset_spec(runtime::Framework::HybriMoE), requests);
 
     const double kt_tbt = kt.tbt_tails().p95;
     const double hm_tbt = hm.tbt_tails().p95;

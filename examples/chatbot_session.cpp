@@ -29,6 +29,10 @@ int main() {
 
   runtime::ExperimentHarness harness(spec);
   util::Rng length_rng(spec.trace.seed);
+  const runtime::StackSpec ktrans_stack =
+      runtime::preset_spec(runtime::Framework::KTransformers);
+  const runtime::StackSpec hybrimoe_stack =
+      runtime::preset_spec(runtime::Framework::HybriMoE);
 
   util::TextTable table("per-turn latency, HybriMoE vs KTransformers");
   table.set_headers({"turn", "prompt", "TTFT ktrans", "TTFT hybrimoe", "TBT ktrans",
@@ -40,12 +44,10 @@ int main() {
     const std::size_t prompt =
         workload::sample_prompt_length(workload::Dataset::ChatGptPrompts, length_rng);
 
-    const auto kt_prefill = harness.run_prefill(runtime::Framework::KTransformers, prompt);
-    const auto hm_prefill = harness.run_prefill(runtime::Framework::HybriMoE, prompt);
-    const auto kt_decode =
-        harness.run_decode(runtime::Framework::KTransformers, kReplyTokens + turn);
-    const auto hm_decode =
-        harness.run_decode(runtime::Framework::HybriMoE, kReplyTokens + turn);
+    const auto kt_prefill = harness.run_prefill(ktrans_stack, prompt);
+    const auto hm_prefill = harness.run_prefill(hybrimoe_stack, prompt);
+    const auto kt_decode = harness.run_decode(ktrans_stack, kReplyTokens + turn);
+    const auto hm_decode = harness.run_decode(hybrimoe_stack, kReplyTokens + turn);
 
     const double sp_ttft = kt_prefill.ttft() / hm_prefill.ttft();
     const double sp_tbt = kt_decode.tbt_mean() / hm_decode.tbt_mean();

@@ -42,17 +42,18 @@ int main(int argc, char** argv) {
   constexpr std::size_t kPromptTokens = 128;
   constexpr std::size_t kDecodeSteps = 32;
 
-  const auto ktrans_prefill =
-      harness.run_prefill(runtime::Framework::KTransformers, kPromptTokens);
-  const auto ktrans_decode =
-      harness.run_decode(runtime::Framework::KTransformers, kDecodeSteps);
+  const runtime::StackSpec ktrans_stack =
+      runtime::preset_spec(runtime::Framework::KTransformers);
+  const auto ktrans_prefill = harness.run_prefill(ktrans_stack, kPromptTokens);
+  const auto ktrans_decode = harness.run_decode(ktrans_stack, kDecodeSteps);
 
   util::TextTable table("prefill 128 tokens / decode 32 tokens, DeepSeek @ 25% cache");
   table.set_headers({"framework", "TTFT", "TBT", "hit rate", "xfers", "prefetch",
                      "maint", "speedup(prefill)", "speedup(decode)"});
   for (const auto framework : runtime::kPaperFrameworks) {
-    const auto prefill = harness.run_prefill(framework, kPromptTokens);
-    const auto decode = harness.run_decode(framework, kDecodeSteps);
+    const runtime::StackSpec stack = runtime::preset_spec(framework);
+    const auto prefill = harness.run_prefill(stack, kPromptTokens);
+    const auto decode = harness.run_decode(stack, kDecodeSteps);
     table.begin_row()
         .add_cell(runtime::to_string(framework))
         .add_cell(util::format_seconds(prefill.ttft()))
@@ -84,8 +85,8 @@ int main(int argc, char** argv) {
     // the host calibration floor (modeled task durations must dominate real
     // kernel times and sleep overshoot for the comparison to mean anything).
     constexpr std::size_t kExecSteps = 8;
-    const auto hybrimoe_decode =
-        harness.run_decode(runtime::Framework::HybriMoE, kExecSteps);
+    const auto hybrimoe_decode = harness.run_decode(
+        runtime::preset_spec(runtime::Framework::HybriMoE), kExecSteps);
     exec::ExecOptions options;
     options.workers = 4;
     {
@@ -101,7 +102,7 @@ int main(int argc, char** argv) {
         "threaded execution backend — decode, modeled vs measured wall clock");
     exec_table.set_headers({"framework", "modeled", "measured", "error"});
     for (const auto framework : runtime::kPaperFrameworks) {
-      const auto decode = harness.run_decode(framework, kExecSteps);
+      const auto decode = harness.run_decode(runtime::preset_spec(framework), kExecSteps);
       const double error =
           std::abs(decode.measured_latency - decode.total_latency) /
           decode.total_latency;

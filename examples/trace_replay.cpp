@@ -46,7 +46,7 @@ int main(int argc, char** argv) {
   util::TextTable table("replay results @ 25% cache");
   table.set_headers({"framework", "TBT", "hit rate", "transfers", "prefetches"});
   for (const auto fw : runtime::kPaperFrameworks) {
-    auto engine = runtime::make_engine(fw, costs, info);
+    auto engine = runtime::make_engine(runtime::preset_spec(fw), costs, info);
     const auto metrics = engine->run_decode(replayed);
     table.begin_row()
         .add_cell(runtime::to_string(fw))

@@ -53,7 +53,7 @@ std::vector<PrefetchDecision> ImpactDrivenPrefetcher::plan(
     double budget_seconds, const std::unordered_set<moe::ExpertId>* extra_resident) {
   std::vector<PrefetchDecision> decisions;
   if (cache.capacity() == 0) return decisions;
-  const double xfer = costs.transfer_time();
+  const double xfer = costs.transfer_time(0);
   std::unordered_set<moe::ExpertId> committed;
 
   // `budget_seconds` is the window in which a transfer may *start* (the link
@@ -131,7 +131,7 @@ std::vector<PrefetchDecision> NextLayerTopPrefetcher::plan(
     return a.second < b.second;
   });
 
-  const double xfer = costs.transfer_time();
+  const double xfer = costs.transfer_time(0);
   double budget = budget_seconds;
   for (const auto& [score, e] : ranked) {
     if (budget <= 0.0 || decisions.size() >= max_per_layer_) break;

@@ -435,9 +435,8 @@ double HybridExecutor::calibrate_time_scale(const hw::CostModel& costs, double s
       std::chrono::duration<double>(kProbeSleep).count();
   real = std::max({real, overshoot, 1e-6});
 
-  double d_min = std::min(costs.cpu_expert_time(1, /*warm=*/true),
-                          std::min(costs.gpu_expert_time(1), costs.transfer_time()));
-  for (std::size_t a = 1; a < costs.num_accelerators(); ++a)
+  double d_min = costs.cpu_expert_time(1, /*warm=*/true);
+  for (std::size_t a = 0; a < costs.num_accelerators(); ++a)
     d_min = std::min({d_min, costs.gpu_expert_time(1, a), costs.transfer_time(a)});
   HYBRIMOE_ASSERT(d_min > 0.0, "cost model yields non-positive task durations");
   return safety * real / d_min;

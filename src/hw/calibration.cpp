@@ -152,7 +152,9 @@ WarmupMeasurements simulate_measurements(const CostModel& ground_truth, util::Rn
   auto jitter = [&](double t) { return t * std::exp(rng.gaussian(0.0, noise)); };
 
   WarmupMeasurements m;
-  const auto& machine = ground_truth.machine();
+  // The CPU and the primary accelerator (index 0) with its host link.
+  const ComputeDeviceParams& cpu = ground_truth.topology().cpu;
+  const AcceleratorProfile& gpu = ground_truth.topology().accelerators.front();
   const auto expert_bytes =
       static_cast<double>(ground_truth.model().routed_expert_bytes());
 
@@ -160,16 +162,16 @@ WarmupMeasurements simulate_measurements(const CostModel& ground_truth, util::Rn
   for (std::size_t rep = 0; rep < repetitions; ++rep) {
     for (const std::size_t tokens : token_sweep) {
       m.cpu_warm.push_back({tokens, jitter(ground_truth.cpu_expert_time(tokens, true))});
-      m.gpu_times.push_back({tokens, jitter(ground_truth.gpu_expert_time(tokens))});
+      m.gpu_times.push_back({tokens, jitter(ground_truth.gpu_expert_time(tokens, 0))});
     }
-    m.cpu_first_extra.push_back(jitter(machine.cpu.warmup_penalty));
-    m.cpu_empty_task.push_back(jitter(machine.cpu.launch_overhead));
-    m.gpu_empty_task.push_back(jitter(machine.gpu.launch_overhead));
+    m.cpu_first_extra.push_back(jitter(cpu.warmup_penalty));
+    m.cpu_empty_task.push_back(jitter(cpu.launch_overhead));
+    m.gpu_empty_task.push_back(jitter(gpu.compute.launch_overhead));
     // Sweep transfer sizes around the expert size to expose the latency term.
     for (const double frac : {0.25, 0.5, 1.0, 2.0}) {
       const double bytes = expert_bytes * frac;
       m.transfers.push_back(
-          {bytes, jitter(machine.pcie.latency + bytes / machine.pcie.bandwidth)});
+          {bytes, jitter(gpu.link.latency + bytes / gpu.link.bandwidth)});
     }
   }
   return m;

@@ -13,7 +13,6 @@ CostModel::CostModel(Topology topology, moe::ModelConfig model)
     : topology_(std::move(topology)), model_(std::move(model)) {
   topology_.validate();
   model_.validate();
-  machine_ = topology_.primary_machine();
   accel_available_.assign(topology_.accelerators.size(), 1);
   link_scale_.assign(topology_.accelerators.size(), 1.0);
 }
@@ -68,10 +67,6 @@ double CostModel::cpu_expert_time(std::size_t tokens, bool warm) const {
                       static_cast<double>(model_.routed_expert_bytes()), tokens, warm);
 }
 
-double CostModel::gpu_expert_time(std::size_t tokens) const {
-  return gpu_expert_time(tokens, 0);
-}
-
 double CostModel::gpu_expert_time(std::size_t tokens, std::size_t accel) const {
   HYBRIMOE_REQUIRE(tokens > 0, "gpu_expert_time requires a positive load");
   HYBRIMOE_REQUIRE(accel < topology_.accelerators.size(),
@@ -81,17 +76,11 @@ double CostModel::gpu_expert_time(std::size_t tokens, std::size_t accel) const {
                       /*warm=*/true);
 }
 
-double CostModel::transfer_time() const noexcept {
-  // bandwidth * 1.0 is exact, so a healthy link is bit-identical to the
-  // pre-fault model.
-  const TransferLinkParams& link = topology_.accelerators.front().link;
-  return link.latency + static_cast<double>(model_.routed_expert_bytes()) /
-                            (link.bandwidth * link_scale_.front());
-}
-
 double CostModel::transfer_time(std::size_t accel) const {
   HYBRIMOE_REQUIRE(accel < topology_.accelerators.size(),
                    "accelerator index out of range");
+  // bandwidth * 1.0 is exact, so a healthy link is bit-identical to the
+  // pre-fault model.
   const TransferLinkParams& link = topology_.accelerators[accel].link;
   return link.latency + static_cast<double>(model_.routed_expert_bytes()) /
                             (link.bandwidth * link_scale_[accel]);

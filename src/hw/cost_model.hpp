@@ -19,10 +19,9 @@
 ///    observation;
 ///  * link transfer time = latency + bytes / bandwidth, constant per expert.
 ///
-/// Accelerator-indexed overloads (`gpu_expert_time(tokens, accel)`,
-/// `transfer_time(accel)`) address devices by topology index; the index-free
-/// forms query accelerator 0 — on a single-accelerator topology they are the
-/// historical CPU+GPU-pair model, bit for bit.
+/// Accelerator queries (`gpu_expert_time(tokens, accel)`,
+/// `transfer_time(accel)`) address devices by topology index; accelerator 0
+/// is the primary device, the GPU of the historical CPU+GPU pair.
 
 #include <cstddef>
 #include <cstdint>
@@ -43,8 +42,6 @@ class CostModel {
   /// Full N-accelerator model; `topology` must validate.
   CostModel(Topology topology, moe::ModelConfig model);
 
-  /// The CPU + primary-accelerator pair view (accelerator 0).
-  [[nodiscard]] const MachineProfile& machine() const noexcept { return machine_; }
   /// The full device/link complement this model answers queries for.
   [[nodiscard]] const Topology& topology() const noexcept { return topology_; }
   /// Accelerator count N of the topology (>= 1).
@@ -63,12 +60,8 @@ class CostModel {
   /// One routed expert on the CPU with `tokens` tokens. `warm` is false for
   /// the first expert task of a layer burst.
   [[nodiscard]] double cpu_expert_time(std::size_t tokens, bool warm = true) const;
-  /// One routed expert on the primary accelerator (index 0).
-  [[nodiscard]] double gpu_expert_time(std::size_t tokens) const;
   /// One routed expert on accelerator `accel` (topology index < N).
   [[nodiscard]] double gpu_expert_time(std::size_t tokens, std::size_t accel) const;
-  /// Moving one routed expert's weights over the primary link (index 0).
-  [[nodiscard]] double transfer_time() const noexcept;
   /// Moving one routed expert's weights over accelerator `accel`'s link.
   [[nodiscard]] double transfer_time(std::size_t accel) const;
 
@@ -102,7 +95,6 @@ class CostModel {
 
  private:
   Topology topology_;
-  MachineProfile machine_;  ///< primary pair view, kept for legacy interfaces
   moe::ModelConfig model_;
   double layer_overhead_ = 0.0;
   std::vector<std::uint8_t> accel_available_;  ///< per-accelerator health

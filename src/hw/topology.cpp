@@ -44,9 +44,9 @@ MachineProfile MachineProfile::unit_test_machine() {
   // Engineered so that, for a model whose routed expert has exactly 1 FLOP
   // per token-parameter unit... in practice tests pair this with
   // ModelConfig::tiny() and only rely on the ratios documented here:
-  //   cpu_expert_time(load)  ~= load seconds (flop bound, no overheads)
-  //   gpu_expert_time(load)  ~= 1 second     (bandwidth bound, flat)
-  //   transfer_time()        ~= 3 seconds
+  //   cpu_expert_time(load)    ~= load seconds (flop bound, no overheads)
+  //   gpu_expert_time(load, 0) ~= 1 second     (bandwidth bound, flat)
+  //   transfer_time(0)         ~= 3 seconds
   MachineProfile m;
   m.name = "unit-test";
   const moe::ModelConfig tiny = moe::ModelConfig::tiny();
@@ -90,16 +90,6 @@ Topology Topology::from_machine(const MachineProfile& machine) {
                             .link = machine.pcie,
                             .cache_share = 1.0});
   return t;
-}
-
-MachineProfile Topology::primary_machine() const {
-  HYBRIMOE_REQUIRE(!accelerators.empty(), "topology has no accelerators");
-  MachineProfile m;
-  m.name = name;
-  m.cpu = cpu;
-  m.gpu = accelerators.front().compute;
-  m.pcie = accelerators.front().link;
-  return m;
 }
 
 Topology Topology::replicated(const MachineProfile& machine, std::size_t n,

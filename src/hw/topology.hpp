@@ -2,14 +2,15 @@
 
 /// \file topology.hpp
 /// Hardware description types: per-device compute parameters, host-device
-/// links, the historical one-CPU+one-GPU MachineProfile, and its
-/// generalization — Topology — one host CPU plus N accelerator devices, each
-/// with its own compute parameters, host link and share of the expert-cache
-/// budget. A single-accelerator Topology is *exactly* a MachineProfile
-/// (from_machine / primary_machine convert losslessly), and every scheduler
-/// metric is bit-identical between the two representations — the equivalence
-/// the preset tests pin down. Time queries over a (topology, model) pair
-/// live in cost_model.hpp.
+/// links, and Topology — one host CPU plus N accelerator devices, each with
+/// its own compute parameters, host link and share of the expert-cache
+/// budget. Topology is the one hardware description the cost model, the
+/// schedulers and the engine consume. MachineProfile (one CPU + one GPU +
+/// PCIe link) remains as a compact way to write down and calibrate a
+/// one-accelerator machine; Topology::from_machine upgrades it losslessly,
+/// and every scheduler metric is bit-identical between the two — the
+/// equivalence the preset tests pin down. Time queries over a (topology,
+/// model) pair live in cost_model.hpp.
 
 #include <cstddef>
 #include <string>
@@ -111,10 +112,6 @@ struct Topology {
   /// Lossless upgrade of a CPU+GPU pair: one accelerator named "gpu0" with
   /// the machine's GPU params and PCIe link, cache_share 1.
   [[nodiscard]] static Topology from_machine(const MachineProfile& machine);
-
-  /// The CPU + accelerator-0 pair as a MachineProfile — the single-device
-  /// view legacy interfaces (calibration, Gantt rendering) consume.
-  [[nodiscard]] MachineProfile primary_machine() const;
 
   /// `n` identical copies of the machine's accelerator, each with its own
   /// dedicated link (the multi-GPU simulation testbed). `n` must be in

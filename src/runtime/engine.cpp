@@ -10,23 +10,19 @@ namespace hybrimoe::runtime {
 OffloadEngine::OffloadEngine(EngineComponents components, const hw::CostModel& costs)
     : components_(std::move(components)), costs_(costs) {
   HYBRIMOE_REQUIRE(components_.scheduler != nullptr, "engine requires a scheduler");
-  HYBRIMOE_REQUIRE(components_.cache != nullptr, "engine requires a cache");
   HYBRIMOE_REQUIRE(!components_.name.empty(), "engine requires a name");
   HYBRIMOE_REQUIRE(components_.execution_mode == exec::ExecutionMode::Simulated ||
                        components_.executor != nullptr,
                    "threaded execution requires an executor");
-  HYBRIMOE_REQUIRE(components_.extra_caches.size() + 1 == costs.num_accelerators(),
+  HYBRIMOE_REQUIRE(components_.caches.size() == costs.num_accelerators(),
                    "engine requires one expert cache per accelerator of the topology");
-  caches_.push_back(components_.cache.get());
-  for (const auto& extra : components_.extra_caches) {
-    HYBRIMOE_REQUIRE(extra != nullptr, "null extra device cache");
-    caches_.push_back(extra.get());
-  }
+  for (const auto& cache : components_.caches)
+    HYBRIMOE_REQUIRE(cache != nullptr, "engine requires a cache for every device");
 }
 
 cache::CacheStats OffloadEngine::aggregate_cache_stats() const {
   cache::CacheStats total;
-  for (const cache::ExpertCache* cache : caches_) {
+  for (const auto& cache : components_.caches) {
     const cache::CacheStats& s = cache->stats();
     total.hits += s.hits;
     total.misses += s.misses;
@@ -37,15 +33,20 @@ cache::CacheStats OffloadEngine::aggregate_cache_stats() const {
   return total;
 }
 
+void OffloadEngine::reset_cache_stats() {
+  for (const auto& cache : components_.caches) cache->reset_stats();
+}
+
 void OffloadEngine::seed_cache(std::span<const moe::ExpertId> experts, bool pinned) {
-  const std::size_t n = caches_.size();
+  const auto& caches = components_.caches;
+  const std::size_t n = caches.size();
   std::size_t next = 0;
   for (const auto& id : experts) {
-    const bool any_space = std::any_of(caches_.begin(), caches_.end(),
-                                       [](const auto* c) { return !c->full(); });
+    const bool any_space = std::any_of(caches.begin(), caches.end(),
+                                       [](const auto& c) { return !c->full(); });
     if (!any_space) break;
-    while (caches_[next % n]->full()) ++next;
-    cache::ExpertCache& cache = *caches_[next % n];
+    while (caches[next % n]->full()) ++next;
+    cache::ExpertCache& cache = *caches[next % n];
     ++next;
     if (pinned) {
       cache.insert_pinned(id);
@@ -62,7 +63,8 @@ double OffloadEngine::run_step(const workload::ForwardTrace& forward,
                    "trace layer count does not match the model");
   HYBRIMOE_REQUIRE(forward.tokens > 0, "forward pass with no tokens");
 
-  const std::size_t num_devices = caches_.size();
+  const auto& caches = components_.caches;
+  const std::size_t num_devices = caches.size();
   std::vector<double> xfer(num_devices);
   for (std::size_t a = 0; a < num_devices; ++a) xfer[a] = costs_.transfer_time(a);
   if (metrics.device_transfers.size() != num_devices)
@@ -131,7 +133,7 @@ double OffloadEngine::run_step(const workload::ForwardTrace& forward,
     // One feed to the primary cache suffices — per-device MRS instances
     // share the score table (MrsPolicy::share_table).
     if (components_.update_policy_scores)
-      caches_[0]->update_scores(layer, routing.scores, model.top_k);
+      caches[0]->update_scores(layer, routing.scores, model.top_k);
 
     // Cache lookups for the activated experts, then the demands. Residency
     // is resolved across every device cache; the miss is charged to the
@@ -151,16 +153,16 @@ double OffloadEngine::run_step(const workload::ForwardTrace& forward,
       } else {
         for (std::size_t a = 0; a < num_devices; ++a) {
           if (available[a] == 0) continue;
-          if (caches_[a]->probe(id)) {
+          if (caches[a]->probe(id)) {
             hit = true;
             resident_on = sched::accelerator_device(a);
             break;
           }
         }
         if (hit) {
-          (void)caches_[resident_on.accel_index()]->lookup(id);
+          (void)caches[resident_on.accel_index()]->lookup(id);
         } else {
-          caches_[0]->record_miss(id);
+          caches[0]->record_miss(id);
         }
       }
       demands.push_back(
@@ -190,15 +192,16 @@ double OffloadEngine::run_step(const workload::ForwardTrace& forward,
       ++metrics.transfers;
       ++metrics.device_transfers[t.device.accel_index()];
       if (components_.dynamic_cache_inserts && !is_prefill)
-        (void)caches_[t.device.accel_index()]->insert(t.expert, activated_ids);
+        (void)caches[t.device.accel_index()]->insert(t.expert, activated_ids);
     }
 
     // Speculative uploads may *start* any time some link is free before the
     // layer ends; the last ones may still be in flight when the next layer
     // begins (link_carry). Each started transfer occupies its link for one
     // expert-transfer time.
-    std::vector<double> link_cursor(num_devices);
-    for (std::size_t a = 0; a < num_devices; ++a) link_cursor[a] = plan.link_end(a);
+    HYBRIMOE_REQUIRE(plan.link_ends.size() == num_devices,
+                     "scheduler plans must carry one link window per accelerator");
+    std::vector<double> link_cursor = plan.link_ends;
     // Upload placement order: least-loaded link first (lowest index on
     // ties). An upload rejected by one device's cache falls through to the
     // next link, so a full or zero-capacity device never starves the rest.
@@ -223,7 +226,7 @@ double OffloadEngine::run_step(const workload::ForwardTrace& forward,
       std::unordered_set<moe::ExpertId> extra;
       for (const auto& [id, dev] : transient) extra.insert(id);
       for (std::size_t a = 1; a < num_devices; ++a)
-        for (const moe::ExpertId id : caches_[a]->residents()) extra.insert(id);
+        for (const moe::ExpertId id : caches[a]->residents()) extra.insert(id);
       return extra;
     };
 
@@ -238,7 +241,7 @@ double OffloadEngine::run_step(const workload::ForwardTrace& forward,
         budget += std::max(0.0, plan.makespan - link_cursor[a]);
       const auto resident_elsewhere = extra_resident();
       const auto decisions = components_.prefetcher->plan(
-          forward, l, stage, *caches_[0], costs_, budget, &resident_elsewhere);
+          forward, l, stage, *caches[0], costs_, budget, &resident_elsewhere);
       for (const auto& d : decisions) {
         bool uploaded = false;
         std::size_t placed_on = 0;
@@ -247,7 +250,7 @@ double OffloadEngine::run_step(const workload::ForwardTrace& forward,
                                       .emplace(d.expert,
                                                static_cast<std::uint8_t>(a))
                                       .second
-                                : caches_[a]->insert(d.expert).inserted;
+                                : caches[a]->insert(d.expert).inserted;
           if (uploaded) {
             placed_on = a;
             break;
@@ -276,12 +279,12 @@ double OffloadEngine::run_step(const workload::ForwardTrace& forward,
         if (demands[i].cached) continue;
         const auto resident = [&](const moe::ExpertId id) {
           for (std::size_t a = 0; a < num_devices; ++a)
-            if (caches_[a]->probe(id)) return true;
+            if (caches[a]->probe(id)) return true;
           return false;
         };
         if (!resident(activated_ids[i])) missed.push_back(activated_ids[i]);
       }
-      const cache::CachePolicy& policy = caches_[0]->policy();
+      const cache::CachePolicy& policy = caches[0]->policy();
       std::sort(missed.begin(), missed.end(), [&](moe::ExpertId a, moe::ExpertId b) {
         return policy.priority(a) > policy.priority(b);
       });
@@ -294,7 +297,7 @@ double OffloadEngine::run_step(const workload::ForwardTrace& forward,
         bool placed = false;
         for (const std::size_t a : links_by_cursor()) {
           if (link_cursor[a] >= plan.makespan) break;  // rest are busier still
-          cache::ExpertCache& target = *caches_[a];
+          cache::ExpertCache& target = *caches[a];
           if (target.full()) {
             const auto victim = target.peek_victim();
             if (!victim.has_value() ||
@@ -341,32 +344,28 @@ double OffloadEngine::run_step(const workload::ForwardTrace& forward,
 }
 
 StageMetrics OffloadEngine::run_prefill(const workload::PrefillTrace& trace) {
-  StageMetrics metrics;
-  metrics.stage = sched::Stage::Prefill;
-  metrics.tokens = trace.prompt_tokens;
-  for (cache::ExpertCache* cache : caches_) cache->reset_stats();
-  const double latency = run_step(trace.forward, sched::Stage::Prefill, metrics);
-  metrics.per_forward.push_back(latency);
-  metrics.total_latency = latency;
-  // run_step accumulated transient-buffer hits into metrics.cache.hits;
-  // merge them with the caches' own counters.
-  cache::CacheStats stats = aggregate_cache_stats();
-  stats.hits += metrics.cache.hits;
-  metrics.cache = stats;
-  return metrics;
+  return run_forwards(sched::Stage::Prefill, trace.prompt_tokens,
+                      std::span(&trace.forward, 1));
 }
 
 StageMetrics OffloadEngine::run_decode(const workload::DecodeTrace& trace) {
   HYBRIMOE_REQUIRE(trace.num_steps() > 0, "decode trace is empty");
+  return run_forwards(sched::Stage::Decode, trace.num_steps(), trace.steps);
+}
+
+StageMetrics OffloadEngine::run_forwards(sched::Stage stage, std::size_t tokens,
+                                         std::span<const workload::ForwardTrace> forwards) {
   StageMetrics metrics;
-  metrics.stage = sched::Stage::Decode;
-  metrics.tokens = trace.num_steps();
-  for (cache::ExpertCache* cache : caches_) cache->reset_stats();
-  for (const auto& step : trace.steps) {
-    const double latency = run_step(step, sched::Stage::Decode, metrics);
+  metrics.stage = stage;
+  metrics.tokens = tokens;
+  reset_cache_stats();
+  for (const auto& forward : forwards) {
+    const double latency = run_step(forward, stage, metrics);
     metrics.per_forward.push_back(latency);
     metrics.total_latency += latency;
   }
+  // run_step accumulated transient-buffer hits into metrics.cache.hits;
+  // merge them with the device caches' own counters.
   cache::CacheStats stats = aggregate_cache_stats();
   stats.hits += metrics.cache.hits;
   metrics.cache = stats;

@@ -28,13 +28,11 @@ namespace hybrimoe::runtime {
 struct EngineComponents {
   std::string name;
   std::unique_ptr<sched::LayerScheduler> scheduler;  ///< required
-  /// Primary accelerator's expert cache (required; may be 0-capacity).
-  std::unique_ptr<cache::ExpertCache> cache;
-  /// Expert caches of accelerators 1..N-1, in topology order — exactly one
-  /// per extra accelerator of the engine's cost-model topology (empty on
-  /// the classic single-GPU pair). make_engine splits the capacity budget
-  /// by the topology's cache shares and shares MRS score tables.
-  std::vector<std::unique_ptr<cache::ExpertCache>> extra_caches;
+  /// Expert caches, exactly one per accelerator of the engine's cost-model
+  /// topology, in topology order (entries may be 0-capacity). make_engine
+  /// splits the capacity budget by the topology's cache shares and shares
+  /// MRS score tables across devices.
+  std::vector<std::unique_ptr<cache::ExpertCache>> caches;
   std::unique_ptr<core::Prefetcher> prefetcher;      ///< optional
 
   /// On-demand transfers and prefetches become cache residents.
@@ -73,27 +71,26 @@ class OffloadEngine {
  public:
   /// \brief Assemble an engine from its policy components against a cost
   /// model (which must outlive the engine). Throws std::invalid_argument on
-  /// missing required components (scheduler, cache, name, or — in Threaded
-  /// mode — the executor).
+  /// missing required components (scheduler, one cache per accelerator,
+  /// name, or — in Threaded mode — the executor).
   OffloadEngine(EngineComponents components, const hw::CostModel& costs);
 
   /// \brief Framework name (stable for the engine's lifetime).
   [[nodiscard]] const std::string& name() const noexcept { return components_.name; }
-  /// \brief The primary accelerator's expert cache (engine-thread only).
-  [[nodiscard]] cache::ExpertCache& cache() noexcept { return *components_.cache; }
-  /// \brief Const view of the primary accelerator's expert cache.
-  [[nodiscard]] const cache::ExpertCache& cache() const noexcept {
-    return *components_.cache;
-  }
   /// \brief Number of accelerator devices (== the cost model's topology).
-  [[nodiscard]] std::size_t num_devices() const noexcept { return caches_.size(); }
+  [[nodiscard]] std::size_t num_devices() const noexcept {
+    return components_.caches.size();
+  }
   /// \brief Expert cache of accelerator `accel` (topology index; 0 is the
-  /// primary cache). Engine-thread only.
+  /// primary device). Engine-thread only.
   [[nodiscard]] cache::ExpertCache& device_cache(std::size_t accel) noexcept {
-    return *caches_[accel];
+    return *components_.caches[accel];
   }
   /// \brief Hit/miss/insert counters summed across every device cache.
   [[nodiscard]] cache::CacheStats aggregate_cache_stats() const;
+  /// \brief Zero the hit/miss/insert counters of every device cache (the
+  /// residents stay) — the start of a measured run.
+  void reset_cache_stats();
   /// \brief The analytical cost model this engine charges against.
   [[nodiscard]] const hw::CostModel& costs() const noexcept { return costs_; }
   /// \brief The layer scheduler (engine-thread only).
@@ -138,11 +135,12 @@ class OffloadEngine {
                   StageMetrics& metrics);
 
  private:
+  /// The loop behind run_prefill/run_decode.
+  StageMetrics run_forwards(sched::Stage stage, std::size_t tokens,
+                            std::span<const workload::ForwardTrace> forwards);
+
   EngineComponents components_;
   const hw::CostModel& costs_;
-  /// Per-device cache view: [components_.cache, extra_caches...], one entry
-  /// per accelerator of the topology.
-  std::vector<cache::ExpertCache*> caches_;
 };
 
 }  // namespace hybrimoe::runtime

@@ -214,19 +214,18 @@ std::unique_ptr<OffloadEngine> make_engine(const StackSpec& spec,
       cache_policy_registry().get(spec.cache.policy);
   const auto capacity_split = costs.topology().split_cache_capacity(
       cache::ExpertCache::capacity_for_ratio(model, ratio));
-  auto primary_policy = policy_factory(ctx);
+  c.caches.push_back(
+      std::make_unique<cache::ExpertCache>(capacity_split.front(), policy_factory(ctx)));
   // Per-device caches share one Eq. 3 score table when the policy is MRS —
   // routing scores are device-independent (the engine feeds the primary
   // cache only); every other policy keeps independent per-device state.
-  const auto* mrs = dynamic_cast<const cache::MrsPolicy*>(primary_policy.get());
+  const auto* mrs = dynamic_cast<const cache::MrsPolicy*>(&c.caches.front()->policy());
   for (std::size_t a = 1; a < capacity_split.size(); ++a) {
     std::unique_ptr<cache::CachePolicy> device_policy =
         mrs != nullptr ? mrs->share_table() : policy_factory(ctx);
-    c.extra_caches.push_back(std::make_unique<cache::ExpertCache>(
-        capacity_split[a], std::move(device_policy)));
+    c.caches.push_back(std::make_unique<cache::ExpertCache>(capacity_split[a],
+                                                            std::move(device_policy)));
   }
-  c.cache = std::make_unique<cache::ExpertCache>(capacity_split.front(),
-                                                 std::move(primary_policy));
   c.prefetcher = prefetcher_registry().get(spec.prefetch.policy)(ctx);
 
   c.dynamic_cache_inserts = spec.dynamic_cache_inserts;
@@ -247,18 +246,6 @@ std::unique_ptr<OffloadEngine> make_engine(const StackSpec& spec,
     engine->seed_cache(hottest, spec.warmup == WarmupSeeding::Pinned);
   }
   return engine;
-}
-
-std::unique_ptr<OffloadEngine> make_engine(Framework framework,
-                                           const hw::CostModel& costs,
-                                           const EngineBuildInfo& info) {
-  return make_engine(preset_spec(framework), costs, info);
-}
-
-std::unique_ptr<OffloadEngine> make_ablation_engine(const core::HybriMoeConfig& config,
-                                                    const hw::CostModel& costs,
-                                                    const EngineBuildInfo& info) {
-  return make_engine(ablation_spec(config), costs, info);
 }
 
 }  // namespace hybrimoe::runtime

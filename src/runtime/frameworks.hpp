@@ -2,7 +2,7 @@
 
 /// \file frameworks.hpp
 /// The evaluated inference frameworks (§VI-A.3) as canonical StackSpec
-/// presets, plus the engine assembly entry points. Each framework is an
+/// presets, plus the engine assembly entry point. Each framework is an
 /// OffloadEngine assembled from the component set that mirrors the real
 /// system's policy:
 ///
@@ -13,10 +13,10 @@
 ///  * HybriMoE       — hybrid scheduling + MRS caching + impact prefetching;
 ///  * OnDemand       — pure on-demand GPU loading (Fig. 1(a) reference).
 ///
-/// Since the configuration redesign these are *presets*: preset_spec(f)
-/// returns the declarative StackSpec (stack_spec.hpp) and every assembly
-/// path — presets, Table III ablation variants, arbitrary off-preset
-/// cross-products — goes through make_engine(StackSpec).
+/// These are *presets*: preset_spec(f) returns the declarative StackSpec
+/// (stack_spec.hpp), ablation_spec(config) the Table III variant, and every
+/// engine — preset, ablation variant or arbitrary off-preset cross-product —
+/// is assembled by make_engine(StackSpec).
 
 #include <array>
 #include <iosfwd>
@@ -133,15 +133,5 @@ void print_stack_catalog(std::ostream& os);
 [[nodiscard]] std::unique_ptr<OffloadEngine> make_engine(const StackSpec& spec,
                                                          const hw::CostModel& costs,
                                                          const EngineBuildInfo& info);
-
-/// \brief Build one of the evaluated frameworks: make_engine(preset_spec(f)).
-[[nodiscard]] std::unique_ptr<OffloadEngine> make_engine(Framework framework,
-                                                         const hw::CostModel& costs,
-                                                         const EngineBuildInfo& info);
-
-/// \brief Build a Table III ablation variant: make_engine(ablation_spec(c)).
-[[nodiscard]] std::unique_ptr<OffloadEngine> make_ablation_engine(
-    const core::HybriMoeConfig& config, const hw::CostModel& costs,
-    const EngineBuildInfo& info);
 
 }  // namespace hybrimoe::runtime

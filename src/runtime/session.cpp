@@ -70,21 +70,6 @@ const workload::DecodeTrace& ExperimentHarness::decode_trace(std::size_t steps) 
   return it->second;
 }
 
-std::unique_ptr<OffloadEngine> ExperimentHarness::build(Framework framework) const {
-  EngineBuildInfo info;
-  info.cache_ratio = spec_.cache_ratio;
-  info.warmup_frequencies = warmup_frequencies_;
-  info.seed = spec_.trace.seed;
-  info.execution_mode = spec_.execution_mode;
-  info.executor = spec_.executor;
-  return make_engine(framework, costs_, info);
-}
-
-std::unique_ptr<OffloadEngine> ExperimentHarness::build(
-    const core::HybriMoeConfig& config) const {
-  return build(ablation_spec(config));
-}
-
 std::unique_ptr<OffloadEngine> ExperimentHarness::build(const StackSpec& stack) const {
   EngineBuildInfo info;
   info.cache_ratio = spec_.cache_ratio;
@@ -103,28 +88,6 @@ void ExperimentHarness::set_execution(exec::ExecutionMode mode,
   spec_.executor = std::move(executor);
 }
 
-StageMetrics ExperimentHarness::run_prefill(Framework framework, std::size_t tokens) {
-  const auto& trace = prefill_trace(tokens);
-  return serve_one_prefill(build(framework), trace);
-}
-
-StageMetrics ExperimentHarness::run_decode(Framework framework, std::size_t steps) {
-  const auto& trace = decode_trace(steps);
-  return serve_one_decode(build(framework), trace);
-}
-
-StageMetrics ExperimentHarness::run_prefill(const core::HybriMoeConfig& config,
-                                            std::size_t tokens) {
-  const auto& trace = prefill_trace(tokens);
-  return serve_one_prefill(build(config), trace);
-}
-
-StageMetrics ExperimentHarness::run_decode(const core::HybriMoeConfig& config,
-                                           std::size_t steps) {
-  const auto& trace = decode_trace(steps);
-  return serve_one_decode(build(config), trace);
-}
-
 StageMetrics ExperimentHarness::run_prefill(const StackSpec& stack, std::size_t tokens) {
   const auto& trace = prefill_trace(tokens);
   return serve_one_prefill(build(stack), trace);
@@ -140,40 +103,17 @@ std::vector<Request> ExperimentHarness::materialize(
   return materialize_requests(generator_, requests, max_prefill_chunk);
 }
 
-ServeMetrics ExperimentHarness::serve(Framework framework,
-                                      std::span<const workload::RequestSpec> requests,
-                                      const ServeOptions& options) {
-  return serve(framework, materialize(requests, options.max_prefill_chunk), options);
-}
-
-ServeMetrics ExperimentHarness::serve(const core::HybriMoeConfig& config,
-                                      std::span<const workload::RequestSpec> requests,
-                                      const ServeOptions& options) {
-  ServeEngine engine(build(config));
-  return engine.run(materialize(requests, options.max_prefill_chunk), options);
-}
-
 ServeMetrics ExperimentHarness::serve(const StackSpec& stack,
                                       std::span<const workload::RequestSpec> requests,
                                       const ServeOptions& options) {
   return serve(stack, materialize(requests, options.max_prefill_chunk), options);
 }
 
-ServeOptions ExperimentHarness::resolved_serve_options(const StackSpec& stack,
-                                                       ServeOptions options) const {
-  if (stack.kv.has_value()) {
-    options.kv = *stack.kv;
-    if (options.kv.enabled() && options.kv.bytes_per_token <= 0.0)
-      options.kv.bytes_per_token = serve_sim::model_kv_bytes_per_token(spec_.model);
-  }
-  return options;
-}
-
-ServeMetrics ExperimentHarness::serve_stream(
-    Framework framework, std::span<const workload::RequestSpec> requests,
-    const ServeOptions& options) {
-  ServeEngine engine(build(framework));
-  return engine.serve_stream(generator_, requests, options);
+ServeMetrics ExperimentHarness::serve(const StackSpec& stack,
+                                      std::vector<Request> requests,
+                                      const ServeOptions& options) {
+  ServeEngine engine(build(stack));
+  return engine.run(std::move(requests), resolved_serve_options(stack, options));
 }
 
 ServeMetrics ExperimentHarness::serve_stream(
@@ -184,18 +124,14 @@ ServeMetrics ExperimentHarness::serve_stream(
                              resolved_serve_options(stack, options));
 }
 
-ServeMetrics ExperimentHarness::serve(Framework framework,
-                                      std::vector<Request> requests,
-                                      const ServeOptions& options) {
-  ServeEngine engine(build(framework));
-  return engine.run(std::move(requests), options);
-}
-
-ServeMetrics ExperimentHarness::serve(const StackSpec& stack,
-                                      std::vector<Request> requests,
-                                      const ServeOptions& options) {
-  ServeEngine engine(build(stack));
-  return engine.run(std::move(requests), resolved_serve_options(stack, options));
+ServeOptions ExperimentHarness::resolved_serve_options(const StackSpec& stack,
+                                                       ServeOptions options) const {
+  if (stack.kv.has_value()) {
+    options.kv = *stack.kv;
+    if (options.kv.enabled() && options.kv.bytes_per_token <= 0.0)
+      options.kv.bytes_per_token = serve_sim::model_kv_bytes_per_token(spec_.model);
+  }
+  return options;
 }
 
 }  // namespace hybrimoe::runtime

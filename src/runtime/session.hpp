@@ -48,33 +48,36 @@ struct ExperimentSpec {
 };
 
 /// Builds the cost model, the shared traces and the warmup statistics once,
-/// then runs frameworks / ablation variants against them.
+/// then runs stacks against them. Every runner takes a StackSpec — a preset
+/// is preset_spec(f), a Table III variant ablation_spec(config) — so
+/// declarative stacks run under exactly the fairness rules of the presets.
 class ExperimentHarness {
  public:
+  /// Builds the cost model and the warmup statistics.
   explicit ExperimentHarness(ExperimentSpec spec);
 
+  /// The cost model every built engine charges against.
   [[nodiscard]] const hw::CostModel& costs() const noexcept { return costs_; }
   /// Mutable cost-model access for fault injection (scenario drivers flip
   /// device availability / link scales mid-run). The engines built by this
   /// harness charge against this same instance.
   [[nodiscard]] hw::CostModel& mutable_costs() noexcept { return costs_; }
+  /// The experimental setting.
   [[nodiscard]] const ExperimentSpec& spec() const noexcept { return spec_; }
+  /// Warmup activation frequencies (layer x expert).
   [[nodiscard]] const std::vector<std::vector<double>>& warmup_frequencies()
       const noexcept {
     return warmup_frequencies_;
   }
 
-  /// The shared traces (generated on first use, then replayed).
+  /// The shared prefill trace of `tokens` prompt tokens (generated on first
+  /// use, then replayed).
   [[nodiscard]] const workload::PrefillTrace& prefill_trace(std::size_t tokens);
+  /// The shared decode trace of `steps` steps (generated on first use, then
+  /// replayed).
   [[nodiscard]] const workload::DecodeTrace& decode_trace(std::size_t steps);
 
-  /// Build a framework engine with this harness's warmup statistics. Every
-  /// Framework-taking runner below has a StackSpec twin, so declarative
-  /// stacks (parse_stack_spec, preset_spec mutations, --stacks flags) run
-  /// under exactly the fairness rules of the preset experiments.
-  [[nodiscard]] std::unique_ptr<OffloadEngine> build(Framework framework) const;
-  [[nodiscard]] std::unique_ptr<OffloadEngine> build(
-      const core::HybriMoeConfig& config) const;
+  /// Build an engine with this harness's warmup statistics.
   [[nodiscard]] std::unique_ptr<OffloadEngine> build(const StackSpec& spec) const;
 
   /// Switch the execution backend for subsequently built engines — the
@@ -85,38 +88,26 @@ class ExperimentHarness {
                      std::shared_ptr<exec::HybridExecutor> executor);
 
   // -- One-call experiment runners ----------------------------------------
-  [[nodiscard]] StageMetrics run_prefill(Framework framework, std::size_t tokens);
-  [[nodiscard]] StageMetrics run_decode(Framework framework, std::size_t steps);
-  [[nodiscard]] StageMetrics run_prefill(const core::HybriMoeConfig& config,
-                                         std::size_t tokens);
-  [[nodiscard]] StageMetrics run_decode(const core::HybriMoeConfig& config,
-                                        std::size_t steps);
+  /// One request over the shared prefill trace, on a freshly built engine.
   [[nodiscard]] StageMetrics run_prefill(const StackSpec& spec, std::size_t tokens);
+  /// One request over the shared decode trace, on a freshly built engine.
   [[nodiscard]] StageMetrics run_decode(const StackSpec& spec, std::size_t steps);
 
   // -- Request-level serving runners ---------------------------------------
   /// Materialise request traces deterministically from this harness's
-  /// generator — identical for every framework (same fairness rule as the
-  /// stage experiments). Sweeps comparing frameworks at one load should
+  /// generator — identical for every stack (same fairness rule as the
+  /// stage experiments). Sweeps comparing stacks at one load should
   /// materialise once and hand each serve() call a copy.
   [[nodiscard]] std::vector<Request> materialize(
       std::span<const workload::RequestSpec> requests,
       std::size_t max_prefill_chunk = 0);
 
   /// Serve a request stream with continuous batching on a freshly built
-  /// framework engine (materialises traces internally).
-  [[nodiscard]] ServeMetrics serve(Framework framework,
-                                   std::span<const workload::RequestSpec> requests,
-                                   const ServeOptions& options = {});
-  [[nodiscard]] ServeMetrics serve(const core::HybriMoeConfig& config,
-                                   std::span<const workload::RequestSpec> requests,
-                                   const ServeOptions& options = {});
+  /// engine (materialises traces internally).
   [[nodiscard]] ServeMetrics serve(const StackSpec& spec,
                                    std::span<const workload::RequestSpec> requests,
                                    const ServeOptions& options = {});
   /// Serve pre-materialised requests (from materialize()).
-  [[nodiscard]] ServeMetrics serve(Framework framework, std::vector<Request> requests,
-                                   const ServeOptions& options = {});
   [[nodiscard]] ServeMetrics serve(const StackSpec& spec, std::vector<Request> requests,
                                    const ServeOptions& options = {});
 
@@ -126,15 +117,13 @@ class ExperimentHarness {
   /// request runs). Bit-identical to serve() on the same specs: per-request
   /// traces derive from (harness seed, request id) either way.
   [[nodiscard]] ServeMetrics serve_stream(
-      Framework framework, std::span<const workload::RequestSpec> requests,
-      const ServeOptions& options = {});
-  [[nodiscard]] ServeMetrics serve_stream(
       const StackSpec& spec, std::span<const workload::RequestSpec> requests,
       const ServeOptions& options = {});
 
   /// Serving options with the stack's declarative "kv" section applied: the
   /// spec's KvSpec (if any) overrides options.kv, and a bytes_per_token of 0
   /// resolves from this harness's model (serve_sim::model_kv_bytes_per_token).
+  /// Every serve runner above applies it.
   [[nodiscard]] ServeOptions resolved_serve_options(const StackSpec& spec,
                                                     ServeOptions options) const;
 

@@ -43,7 +43,7 @@ double assignment_makespan(std::span<const ExpertDemand> demands,
                            const hw::CostModel& costs, const SimOptions& options) {
   HYBRIMOE_REQUIRE(demands.size() == assignment.size(),
                    "assignment length mismatch");
-  const double xfer = costs.transfer_time();
+  const double xfer = costs.transfer_time(0);
 
   // CPU side: serial; one cold-start penalty on the first task.
   double cpu_total = 0.0;
@@ -63,10 +63,10 @@ double assignment_makespan(std::span<const ExpertDemand> demands,
   for (std::size_t i = 0; i < demands.size(); ++i) {
     if (assignment[i] != kGpuDevice) continue;
     if (demands[i].cached) {
-      gpu_t += costs.gpu_expert_time(demands[i].load);
+      gpu_t += costs.gpu_expert_time(demands[i].load, 0);
     } else {
       pcie_times.push_back(xfer);
-      gpu_times.push_back(costs.gpu_expert_time(demands[i].load));
+      gpu_times.push_back(costs.gpu_expert_time(demands[i].load, 0));
     }
   }
   double pcie_t = options.pcie_busy_until;

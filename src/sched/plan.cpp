@@ -24,16 +24,6 @@ std::size_t LayerPlan::num_accel_devices() const {
   return n;
 }
 
-double LayerPlan::link_offset(std::size_t accel) const {
-  if (accel < link_offsets.size()) return link_offsets[accel];
-  return pcie_offset;
-}
-
-double LayerPlan::link_end(std::size_t accel) const {
-  if (accel < link_ends.size()) return link_ends[accel];
-  return pcie_end;
-}
-
 std::vector<moe::ExpertId> LayerPlan::transferred_experts() const {
   std::vector<moe::ExpertId> out;
   for (const auto& t : tasks)
@@ -135,18 +125,19 @@ std::vector<std::string> validate_plan(const LayerPlan& plan,
              std::to_string(demands.size()));
 
   if (plan.gpu_offset < 0.0) complain("negative gpu_offset");
-  if (plan.pcie_offset < 0.0) complain("negative pcie_offset");
-  if (plan.pcie_end < plan.pcie_offset - kTimeEps)
-    complain("pcie_end before pcie_offset");
-  if (!plan.link_offsets.empty() &&
-      std::abs(plan.link_offsets.front() - plan.pcie_offset) > kTimeEps)
-    complain("link_offsets[0] does not mirror pcie_offset");
-  if (!plan.link_ends.empty() &&
-      std::abs(plan.link_ends.front() - plan.pcie_end) > kTimeEps)
-    complain("link_ends[0] does not mirror pcie_end");
-  for (std::size_t a = 0; a < num_accels; ++a)
-    if (plan.link_end(a) < plan.link_offset(a) - kTimeEps)
+  // Link-vector shape: one entry per link, and a link for every device a
+  // task runs on. Per-link checks below only read entries that exist.
+  const std::size_t num_links = plan.link_offsets.size();
+  if (num_links == 0 || plan.link_ends.size() != num_links || num_links < num_accels)
+    complain("link_offsets/link_ends sized " + std::to_string(num_links) + "/" +
+             std::to_string(plan.link_ends.size()) + " for a plan spanning " +
+             std::to_string(num_accels) + " accelerator(s)");
+  for (std::size_t a = 0; a < std::min(num_links, plan.link_ends.size()); ++a) {
+    if (plan.link_offsets[a] < 0.0)
+      complain("negative link offset on " + to_string(accelerator_device(a)));
+    if (plan.link_ends[a] < plan.link_offsets[a] - kTimeEps)
       complain("link_end before link_offset on " + to_string(accelerator_device(a)));
+  }
 
   double latest_end = plan.gpu_offset;
   double cpu = 0.0;
@@ -167,8 +158,9 @@ std::vector<std::string> validate_plan(const LayerPlan& plan,
       if (!t.device.is_accelerator()) {
         complain("transferred expert " + t.expert.to_string() +
                  " not computed on an accelerator");
-      } else if (t.transfer_start <
-                 plan.link_offset(t.device.accel_index()) - kTimeEps) {
+      } else if (const std::size_t link = t.device.accel_index();
+                 link < num_links &&
+                 t.transfer_start < plan.link_offsets[link] - kTimeEps) {
         complain("expert " + t.expert.to_string() +
                  " transferred while the link was still carrying earlier work");
       }

@@ -69,36 +69,23 @@ struct LayerPlan {
   /// gpu_busy_until, charged to every accelerator — the dense pipeline is
   /// replicated); no accelerator expert task starts before it.
   double gpu_offset = 0.0;
-  /// Primary-link occupancy carried in from previous layers' in-flight
-  /// transfers; no transfer on link 0 starts before it. Per-link values for
-  /// the other links live in `link_offsets`.
-  double pcie_offset = 0.0;
-  /// When the primary link frees up after this plan's transfers
-  /// (>= pcie_offset; the prefetcher starts its uploads here). Per-link
-  /// values for the other links live in `link_ends`.
-  double pcie_end = 0.0;
   /// Layer latency: dense phase plus the routed-expert phase
   /// (max of gpu_offset and the latest compute end).
   double makespan = 0.0;
   double cpu_busy = 0.0;
   double gpu_busy = 0.0;   ///< summed across accelerators
   double pcie_busy = 0.0;  ///< summed across links
-  /// Per-link occupancy carried in / left behind, one entry per accelerator
-  /// link in topology order. Empty on hand-built single-link plans — the
-  /// scalar pcie_offset/pcie_end fields are then authoritative; when
-  /// non-empty, entry 0 mirrors the scalars.
+  /// Occupancy carried into each accelerator link from previous layers'
+  /// in-flight transfers, one entry per link in topology order; no transfer
+  /// on a link starts before its entry.
   std::vector<double> link_offsets;
-  /// Per-link busy-until times after this plan's transfers (see link_offsets).
+  /// When each link frees up after this plan's transfers (>= its offset; the
+  /// prefetcher starts its uploads there), one entry per link.
   std::vector<double> link_ends;
 
   /// Number of accelerator devices this plan spans (>= 1): the larger of the
   /// per-link vectors and the highest task device id.
   [[nodiscard]] std::size_t num_accel_devices() const;
-
-  /// Occupancy carried into accelerator link `accel` (scalar fallback).
-  [[nodiscard]] double link_offset(std::size_t accel) const;
-  /// Busy-until of accelerator link `accel` after this plan (scalar fallback).
-  [[nodiscard]] double link_end(std::size_t accel) const;
 
   /// Experts uploaded on demand (they enter their device's cache on
   /// completion).
@@ -126,6 +113,8 @@ struct LayerPlan {
 };
 
 /// Structural validation; returns human-readable violations (empty == valid):
+///  * link_offsets and link_ends have one entry per link, covering every
+///    task's accelerator;
 ///  * every demanded expert computed exactly once, with matching load;
 ///  * an uncached expert computed on an accelerator must have a completed
 ///    transfer (over that device's link) that ends before its compute starts;

@@ -117,8 +117,6 @@ LayerPlan simulate_layer(std::uint16_t layer, Stage stage,
   plan.stage = stage;
   plan.gpu_offset = options.gpu_busy_until;
   plan.link_offsets = st.link_t;
-  plan.pcie_offset = st.link_t.front();
-  plan.pcie_end = st.link_t.front();
   plan.tasks.reserve(demands.size());
 
   std::vector<double> xfer(num_accels);
@@ -339,7 +337,6 @@ LayerPlan simulate_layer(std::uint16_t layer, Stage stage,
   plan.makespan = options.gpu_busy_until;
   for (const auto& t : plan.tasks) plan.makespan = std::max(plan.makespan, t.end);
   plan.link_ends = st.link_t;
-  plan.pcie_end = st.link_t.front();
   return plan;
 }
 

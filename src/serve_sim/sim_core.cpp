@@ -53,7 +53,7 @@ runtime::ServeMetrics SimCore::run(std::vector<Request>& requests) {
     m.arrival = requests[i].spec.arrival_time;
     m.prompt_tokens = requests[i].spec.prompt_tokens;
   }
-  engine_.cache().reset_stats();
+  engine_.reset_cache_stats();
 
   // Seed the heap with every arrival. Requests are (arrival, id)-sorted, so
   // the monotone seq reproduces that order for simultaneous arrivals.
@@ -84,9 +84,9 @@ runtime::ServeMetrics SimCore::run(std::vector<Request>& requests) {
 
   metrics_.makespan = clock_;
   metrics_.steps.stage = any_decode_ ? sched::Stage::Decode : sched::Stage::Prefill;
-  // Merge the cache's own counters with the transient-buffer hits run_step
-  // accumulated, exactly as run_prefill/run_decode do.
-  cache::CacheStats stats = engine_.cache().stats();
+  // Merge every device cache's counters with the transient-buffer hits
+  // run_step accumulated, exactly as run_prefill/run_decode do.
+  cache::CacheStats stats = engine_.aggregate_cache_stats();
   stats.hits += metrics_.steps.cache.hits;
   metrics_.steps.cache = stats;
 

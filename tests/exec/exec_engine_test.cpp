@@ -56,7 +56,7 @@ ExperimentSpec tiny_spec() {
 StageMetrics run_decode(ExperimentHarness& harness, Framework framework,
                         exec::ExecutionMode mode, std::size_t workers) {
   harness.set_execution(mode, std::make_shared<exec::HybridExecutor>(exec_options(workers)));
-  return harness.run_decode(framework, kDecodeSteps);
+  return harness.run_decode(preset_spec(framework), kDecodeSteps);
 }
 
 TEST(ExecEngine, ThreadedDigestMatchesSimulatedAtEveryWorkerCount) {
@@ -96,10 +96,10 @@ TEST(ExecEngine, PrefillDigestMatchesAcrossModes) {
   ExperimentHarness harness(tiny_spec());
   harness.set_execution(exec::ExecutionMode::Simulated,
                         std::make_shared<exec::HybridExecutor>(exec_options(1)));
-  const auto simulated = harness.run_prefill(Framework::HybriMoE, 8);
+  const auto simulated = harness.run_prefill(preset_spec(Framework::HybriMoE), 8);
   harness.set_execution(exec::ExecutionMode::Threaded,
                         std::make_shared<exec::HybridExecutor>(exec_options(4)));
-  const auto threaded = harness.run_prefill(Framework::HybriMoE, 8);
+  const auto threaded = harness.run_prefill(preset_spec(Framework::HybriMoE), 8);
   ASSERT_NE(simulated.exec_digest, 0u);
   EXPECT_EQ(threaded.exec_digest, simulated.exec_digest);
 }
@@ -117,8 +117,8 @@ TEST(ExecEngine, CapacityOneCacheForcesDependencyChainsAndStaysCorrect) {
     EngineComponents c;
     c.name = "stress";
     c.scheduler = std::make_unique<sched::GpuCentricScheduler>();
-    c.cache = std::make_unique<cache::ExpertCache>(
-        1, std::make_unique<cache::LruPolicy>());
+    c.caches.push_back(std::make_unique<cache::ExpertCache>(
+        1, std::make_unique<cache::LruPolicy>()));
     c.update_policy_scores = false;
     c.execution_mode = mode;
     c.executor = std::make_shared<exec::HybridExecutor>(exec_options(workers));
@@ -157,10 +157,10 @@ TEST(ExecEngine, ServingPathCarriesDigestsThroughContinuousBatching) {
   ExperimentHarness harness(tiny_spec());
   harness.set_execution(exec::ExecutionMode::Simulated,
                         std::make_shared<exec::HybridExecutor>(exec_options(1)));
-  const auto simulated = harness.serve(Framework::HybriMoE, specs);
+  const auto simulated = harness.serve(preset_spec(Framework::HybriMoE), specs);
   harness.set_execution(exec::ExecutionMode::Threaded,
                         std::make_shared<exec::HybridExecutor>(exec_options(4)));
-  const auto threaded = harness.serve(Framework::HybriMoE, specs);
+  const auto threaded = harness.serve(preset_spec(Framework::HybriMoE), specs);
 
   ASSERT_NE(simulated.steps.exec_digest, 0u);
   EXPECT_EQ(threaded.steps.exec_digest, simulated.steps.exec_digest);
@@ -174,8 +174,8 @@ TEST(ExecEngine, ThreadedModeRequiresAnExecutor) {
   EngineComponents c;
   c.name = "broken";
   c.scheduler = std::make_unique<sched::GpuCentricScheduler>();
-  c.cache =
-      std::make_unique<cache::ExpertCache>(1, std::make_unique<cache::LruPolicy>());
+  c.caches.push_back(
+      std::make_unique<cache::ExpertCache>(1, std::make_unique<cache::LruPolicy>()));
   c.execution_mode = exec::ExecutionMode::Threaded;
   EXPECT_THROW(OffloadEngine(std::move(c), costs), std::invalid_argument);
 }

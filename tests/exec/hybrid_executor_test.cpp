@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <stdexcept>
 #include <vector>
 
@@ -30,6 +31,9 @@ constexpr double kScale = 3e-3;
 #else
 constexpr double kScale = 3e-4;
 #endif
+/// Coarser pacing (one unit = 3ms) for assertions that bound a wall-clock
+/// window by a fixed number of units.
+constexpr double kCoarseScale = 10 * kScale;
 
 hw::CostModel unit_costs() {
   return {hw::MachineProfile::unit_test_machine(), moe::ModelConfig::tiny()};
@@ -147,14 +151,22 @@ TEST(HybridExecutor, AsyncCopiesDoNotBlockTheLayer) {
                                           {.id = {1, 2}, .link = 0, .seconds = 10.0},
                                           {.id = {1, 3}, .link = 0, .seconds = 10.0}};
 
-  HybridExecutor executor(options_with(2));
+  // Paced coarser than kScale (one unit = 3ms), so scheduler delays on a
+  // loaded host stay a small fraction of the 10-unit margin below.
+  HybridExecutor executor(options_with(2, kCoarseScale));
   executor.begin_step();
-  // Four speculative copies of 10 units each would add 12ms if the layer
+  // Four speculative copies of 10 units each would add 40 units if the layer
   // waited on them; the layer window must not include that.
   const auto result = executor.execute_layer(plan, 0.0, prefetches);
   EXPECT_LT(result.measured, plan.makespan + 10.0);
+  // Structural witness: link 0 had not finished the queued copies (the
+  // plan's own transfers plus the four prefetches) when the layer returned.
+  const std::uint64_t queued =
+      plan.transfer_order(sched::kGpuDevice).size() + prefetches.size();
+  EXPECT_LT(executor.link_transfers_completed(0), queued);
   const auto step = executor.end_step();  // end_step drains them
   EXPECT_EQ(step.layers, 1u);
+  EXPECT_EQ(executor.link_transfers_completed(0), queued);
 }
 
 TEST(HybridExecutor, StepProtocolIsEnforced) {

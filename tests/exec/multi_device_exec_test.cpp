@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <vector>
 
 #include "exec/executor.hpp"
@@ -41,6 +42,14 @@ ExecOptions fast_options(std::size_t workers) {
 #else
   options.time_scale = 1e-4;
 #endif
+  return options;
+}
+
+/// Coarser pacing (one unit = 3ms outside TSan) for assertions that bound a
+/// wall-clock window by a fixed number of units.
+ExecOptions coarse_options(std::size_t workers) {
+  ExecOptions options = fast_options(workers);
+  options.time_scale *= 30.0;
   return options;
 }
 
@@ -113,15 +122,25 @@ TEST(MultiDeviceExecutor, AsyncCopiesRouteToTheirLinks) {
   const std::vector<AsyncCopy> copies{{.id = {1, 0}, .link = 0, .seconds = 10.0},
                                       {.id = {1, 1}, .link = 1, .seconds = 10.0},
                                       {.id = {1, 2}, .link = 1, .seconds = 10.0}};
-  HybridExecutor executor(fast_options(2));
+  HybridExecutor executor(coarse_options(2));
   executor.begin_step();
   const auto result = executor.execute_layer(plan, 0.0, copies);
   // Speculative copies must not extend the layer window (the +10 margin
   // absorbs sleep overshoot at this time scale, well under the 20s the
   // busiest link would add if the layer waited).
   EXPECT_LT(result.measured, plan.makespan + 10.0);
+  // Structural witness: when the layer returned, the busiest link had not
+  // finished its queue (the plan's own transfers, then two speculative
+  // copies ending >= 17 units after the layer).
+  std::vector<std::uint64_t> queued(2, 0);
+  for (std::size_t link = 0; link < queued.size(); ++link)
+    queued[link] = plan.transfer_order(sched::accelerator_device(link)).size();
+  for (const auto& copy : copies) ++queued[copy.link];
+  EXPECT_LT(executor.link_transfers_completed(1), queued[1]);
   const auto step = executor.end_step();  // drains every link
   EXPECT_EQ(step.layers, 1u);
+  for (std::size_t link = 0; link < queued.size(); ++link)
+    EXPECT_EQ(executor.link_transfers_completed(link), queued[link]) << "link " << link;
 }
 
 TEST(MultiDeviceExecutor, RepeatedLayersStayDeterministic) {

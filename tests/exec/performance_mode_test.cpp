@@ -58,7 +58,7 @@ StageMetrics run_decode(ExperimentHarness& harness, exec::ExecutionMode mode,
                         std::size_t workers, bool quantized = false) {
   harness.set_execution(
       mode, std::make_shared<exec::HybridExecutor>(exec_options(workers, quantized)));
-  return harness.run_decode(Framework::HybriMoE, kDecodeSteps);
+  return harness.run_decode(preset_spec(Framework::HybriMoE), kDecodeSteps);
 }
 
 TEST(PerformanceMode, ToStringAndModeNames) {
@@ -106,11 +106,11 @@ TEST(PerformanceMode, PrefillDigestMatchesAcrossModes) {
   ExperimentHarness harness(tiny_spec());
   harness.set_execution(exec::ExecutionMode::Simulated,
                         std::make_shared<exec::HybridExecutor>(exec_options(1)));
-  const auto simulated = harness.run_prefill(Framework::HybriMoE, 8);
+  const auto simulated = harness.run_prefill(preset_spec(Framework::HybriMoE), 8);
   ASSERT_NE(simulated.exec_digest, 0u);
   harness.set_execution(exec::ExecutionMode::Performance,
                         std::make_shared<exec::HybridExecutor>(exec_options(4)));
-  const auto performance = harness.run_prefill(Framework::HybriMoE, 8);
+  const auto performance = harness.run_prefill(preset_spec(Framework::HybriMoE), 8);
   EXPECT_EQ(performance.exec_digest, simulated.exec_digest);
   EXPECT_GT(performance.measured_latency, 0.0);
 }

@@ -42,8 +42,8 @@ TEST_F(CalibrationTest, NoiselessFitRecoversTimings) {
 
   // The warmup phase must reproduce the quantities scheduling consumes.
   for (const std::size_t tokens : {1UL, 32UL, 256UL}) {
-    EXPECT_NEAR(fit_costs.gpu_expert_time(tokens), truth_.gpu_expert_time(tokens),
-                truth_.gpu_expert_time(tokens) * 0.10)
+    EXPECT_NEAR(fit_costs.gpu_expert_time(tokens, 0), truth_.gpu_expert_time(tokens, 0),
+                truth_.gpu_expert_time(tokens, 0) * 0.10)
         << tokens;
   }
   // CPU: large-token (GEMM) regime and single-token (bandwidth) regime.
@@ -51,10 +51,10 @@ TEST_F(CalibrationTest, NoiselessFitRecoversTimings) {
               truth_.cpu_expert_time(512) * 0.15);
   EXPECT_NEAR(fit_costs.cpu_expert_time(1), truth_.cpu_expert_time(1),
               truth_.cpu_expert_time(1) * 0.15);
-  EXPECT_NEAR(fit_costs.transfer_time(), truth_.transfer_time(),
-              truth_.transfer_time() * 0.05);
-  EXPECT_NEAR(fitted.cpu.warmup_penalty, truth_.machine().cpu.warmup_penalty,
-              truth_.machine().cpu.warmup_penalty * 0.05);
+  EXPECT_NEAR(fit_costs.transfer_time(0), truth_.transfer_time(0),
+              truth_.transfer_time(0) * 0.05);
+  EXPECT_NEAR(fitted.cpu.warmup_penalty, truth_.topology().cpu.warmup_penalty,
+              truth_.topology().cpu.warmup_penalty * 0.05);
 }
 
 TEST_F(CalibrationTest, NoisyFitStaysInBand) {
@@ -62,12 +62,12 @@ TEST_F(CalibrationTest, NoisyFitStaysInBand) {
   const auto samples = simulate_measurements(truth_, rng, 8, /*noise=*/0.05);
   const auto fitted = fit_machine_profile(samples, model_);
   const CostModel fit_costs(fitted, model_);
-  EXPECT_NEAR(fit_costs.transfer_time(), truth_.transfer_time(),
-              truth_.transfer_time() * 0.15);
+  EXPECT_NEAR(fit_costs.transfer_time(0), truth_.transfer_time(0),
+              truth_.transfer_time(0) * 0.15);
   EXPECT_NEAR(fit_costs.cpu_expert_time(256), truth_.cpu_expert_time(256),
               truth_.cpu_expert_time(256) * 0.25);
-  EXPECT_NEAR(fit_costs.gpu_expert_time(1), truth_.gpu_expert_time(1),
-              truth_.gpu_expert_time(1) * 0.25);
+  EXPECT_NEAR(fit_costs.gpu_expert_time(1, 0), truth_.gpu_expert_time(1, 0),
+              truth_.gpu_expert_time(1, 0) * 0.25);
 }
 
 TEST_F(CalibrationTest, FittedProfileValidates) {

@@ -20,9 +20,9 @@ TEST_F(CostModelTest, ProfilesValidate) {
 TEST_F(CostModelTest, GpuFlatCpuLinear_Fig3f) {
   // Paper Fig. 3(f): GPU per-expert time stays near-flat across decode-scale
   // loads and grows sub-linearly overall; CPU grows near-linearly.
-  const double gpu1 = costs_.gpu_expert_time(1);
-  const double gpu64 = costs_.gpu_expert_time(64);
-  const double gpu512 = costs_.gpu_expert_time(512);
+  const double gpu1 = costs_.gpu_expert_time(1, 0);
+  const double gpu64 = costs_.gpu_expert_time(64, 0);
+  const double gpu512 = costs_.gpu_expert_time(512, 0);
   EXPECT_LT(gpu64, gpu1 * 1.6);   // flat through typical decode loads
   EXPECT_LT(gpu512, gpu1 * 6.0);  // sub-linear even at 512x the tokens
 
@@ -37,7 +37,7 @@ TEST_F(CostModelTest, CpuWarmupPenalty_Fig3e) {
   const double cold = costs_.cpu_expert_time(1, /*warm=*/false);
   const double warm = costs_.cpu_expert_time(1, /*warm=*/true);
   EXPECT_GT(cold, warm);
-  EXPECT_NEAR(cold - warm, costs_.machine().cpu.warmup_penalty, 1e-12);
+  EXPECT_NEAR(cold - warm, costs_.topology().cpu.warmup_penalty, 1e-12);
 }
 
 TEST_F(CostModelTest, DecodeRegime) {
@@ -45,8 +45,8 @@ TEST_F(CostModelTest, DecodeRegime) {
   // on-demand transfer, GPU-cached beats both — the premise of hybrid
   // execution (paper Fig. 1).
   const double cpu = costs_.cpu_expert_time(1);
-  const double gpu = costs_.gpu_expert_time(1);
-  const double xfer = costs_.transfer_time();
+  const double gpu = costs_.gpu_expert_time(1, 0);
+  const double xfer = costs_.transfer_time(0);
   EXPECT_LT(gpu, cpu);
   EXPECT_LT(cpu, xfer);
 }
@@ -56,16 +56,15 @@ TEST_F(CostModelTest, PrefillRegime) {
   // reason prefill streams misses instead of computing them locally.
   const std::size_t load = 256;
   const double cpu = costs_.cpu_expert_time(load);
-  const double via_gpu = costs_.transfer_time() + costs_.gpu_expert_time(load);
+  const double via_gpu = costs_.transfer_time(0) + costs_.gpu_expert_time(load, 0);
   EXPECT_LT(via_gpu, cpu);
 }
 
 TEST_F(CostModelTest, TransferConstantPerExpert) {
-  EXPECT_DOUBLE_EQ(costs_.transfer_time(), costs_.transfer_time());
+  const TransferLinkParams& link = costs_.topology().accelerators[0].link;
   const double expected =
-      costs_.machine().pcie.latency +
-      static_cast<double>(model_.routed_expert_bytes()) / costs_.machine().pcie.bandwidth;
-  EXPECT_DOUBLE_EQ(costs_.transfer_time(), expected);
+      link.latency + static_cast<double>(model_.routed_expert_bytes()) / link.bandwidth;
+  EXPECT_DOUBLE_EQ(costs_.transfer_time(0), expected);
 }
 
 TEST_F(CostModelTest, MonotoneInTokens) {
@@ -73,7 +72,7 @@ TEST_F(CostModelTest, MonotoneInTokens) {
   double prev_gpu = 0.0;
   for (const std::size_t t : {1UL, 2UL, 8UL, 64UL, 256UL, 1024UL}) {
     const double cpu = costs_.cpu_expert_time(t);
-    const double gpu = costs_.gpu_expert_time(t);
+    const double gpu = costs_.gpu_expert_time(t, 0);
     EXPECT_GE(cpu, prev_cpu);
     EXPECT_GE(gpu, prev_gpu);
     prev_cpu = cpu;
@@ -94,12 +93,12 @@ TEST_F(CostModelTest, AttentionGrowsWithTokens) {
 
 TEST_F(CostModelTest, RejectsZeroTokens) {
   EXPECT_THROW((void)costs_.cpu_expert_time(0), std::invalid_argument);
-  EXPECT_THROW((void)costs_.gpu_expert_time(0), std::invalid_argument);
+  EXPECT_THROW((void)costs_.gpu_expert_time(0, 0), std::invalid_argument);
   EXPECT_THROW((void)costs_.attention_time(0), std::invalid_argument);
 }
 
 TEST_F(CostModelTest, GemmRampMonotoneAndBounded) {
-  const auto& cpu = costs_.machine().cpu;
+  const auto& cpu = costs_.topology().cpu;
   EXPECT_DOUBLE_EQ(cpu.effective_flops(0), cpu.flops);
   double prev = 0.0;
   for (const std::size_t t : {1UL, 4UL, 16UL, 64UL, 1024UL}) {
@@ -121,9 +120,9 @@ TEST_F(CostModelTest, UnitMachineRatios) {
   const CostModel unit(MachineProfile::unit_test_machine(), moe::ModelConfig::tiny());
   EXPECT_NEAR(unit.cpu_expert_time(1), 1.0, 1e-9);
   EXPECT_NEAR(unit.cpu_expert_time(4), 4.0, 1e-9);
-  EXPECT_NEAR(unit.gpu_expert_time(1), 1.0, 1e-9);
-  EXPECT_NEAR(unit.gpu_expert_time(7), 1.0, 1e-9);  // flat
-  EXPECT_NEAR(unit.transfer_time(), 3.0, 1e-9);
+  EXPECT_NEAR(unit.gpu_expert_time(1, 0), 1.0, 1e-9);
+  EXPECT_NEAR(unit.gpu_expert_time(7, 0), 1.0, 1e-9);  // flat
+  EXPECT_NEAR(unit.transfer_time(0), 3.0, 1e-9);
 }
 
 TEST_F(CostModelTest, InvalidMachineRejected) {
@@ -148,13 +147,13 @@ class ModelRegimeTest : public ::testing::TestWithParam<int> {};
 TEST_P(ModelRegimeTest, TransferCostScalesWithExpertBytes) {
   const auto& model = moe::paper_models()[static_cast<std::size_t>(GetParam())];
   const CostModel costs(MachineProfile::a6000_xeon10(), model);
-  const double expected = costs.machine().pcie.latency +
-                          static_cast<double>(model.routed_expert_bytes()) /
-                              costs.machine().pcie.bandwidth;
-  EXPECT_DOUBLE_EQ(costs.transfer_time(), expected);
+  const TransferLinkParams& link = costs.topology().accelerators[0].link;
+  const double expected =
+      link.latency + static_cast<double>(model.routed_expert_bytes()) / link.bandwidth;
+  EXPECT_DOUBLE_EQ(costs.transfer_time(0), expected);
   // Decode: cached GPU compute is always the cheapest option.
-  EXPECT_LT(costs.gpu_expert_time(1), costs.cpu_expert_time(1));
-  EXPECT_LT(costs.gpu_expert_time(1), costs.transfer_time());
+  EXPECT_LT(costs.gpu_expert_time(1, 0), costs.cpu_expert_time(1));
+  EXPECT_LT(costs.gpu_expert_time(1, 0), costs.transfer_time(0));
 }
 
 INSTANTIATE_TEST_SUITE_P(AllModels, ModelRegimeTest, ::testing::Values(0, 1, 2));

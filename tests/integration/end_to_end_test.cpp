@@ -24,8 +24,8 @@ TEST(EndToEndTest, AllModelsAllFrameworksComplete) {
   for (const auto& model : moe::paper_models()) {
     ExperimentHarness harness(spec_for(model, 0.5));
     for (const auto fw : kPaperFrameworks) {
-      const auto prefill = harness.run_prefill(fw, 32);
-      const auto decode = harness.run_decode(fw, 8);
+      const auto prefill = harness.run_prefill(preset_spec(fw), 32);
+      const auto decode = harness.run_decode(preset_spec(fw), 8);
       EXPECT_GT(prefill.ttft(), 0.0) << model.name << " " << to_string(fw);
       EXPECT_GT(decode.tbt_mean(), 0.0) << model.name << " " << to_string(fw);
       EXPECT_LE(decode.cache.hit_rate(), 1.0);
@@ -35,7 +35,7 @@ TEST(EndToEndTest, AllModelsAllFrameworksComplete) {
 
 TEST(EndToEndTest, HybriMoEUsesAllThreeMechanisms) {
   ExperimentHarness harness(spec_for(moe::ModelConfig::deepseek(), 0.25));
-  const auto metrics = harness.run_decode(Framework::HybriMoE, 24);
+  const auto metrics = harness.run_decode(preset_spec(Framework::HybriMoE), 24);
   EXPECT_GT(metrics.prefetches, 0U);
   EXPECT_GT(metrics.maintenance, 0U);
   EXPECT_GT(metrics.cpu_busy, 0.0);
@@ -45,7 +45,7 @@ TEST(EndToEndTest, HybriMoEUsesAllThreeMechanisms) {
 
 TEST(EndToEndTest, KTransformersNeverTouchesPcieInDecode) {
   ExperimentHarness harness(spec_for(moe::ModelConfig::deepseek(), 0.25));
-  const auto metrics = harness.run_decode(Framework::KTransformers, 8);
+  const auto metrics = harness.run_decode(preset_spec(Framework::KTransformers), 8);
   EXPECT_EQ(metrics.transfers, 0U);
   EXPECT_EQ(metrics.prefetches, 0U);
   EXPECT_EQ(metrics.maintenance, 0U);
@@ -54,14 +54,14 @@ TEST(EndToEndTest, KTransformersNeverTouchesPcieInDecode) {
 
 TEST(EndToEndTest, AdapMoENeverUsesCpuForExperts) {
   ExperimentHarness harness(spec_for(moe::ModelConfig::deepseek(), 0.25));
-  const auto metrics = harness.run_decode(Framework::AdapMoE, 8);
+  const auto metrics = harness.run_decode(preset_spec(Framework::AdapMoE), 8);
   EXPECT_EQ(metrics.cpu_busy, 0.0);
   EXPECT_GT(metrics.transfers, 0U);
 }
 
 TEST(EndToEndTest, LlamaCppBusySplitFollowsLayerMapping) {
   ExperimentHarness harness(spec_for(moe::ModelConfig::deepseek(), 0.5));
-  const auto metrics = harness.run_decode(Framework::LlamaCpp, 8);
+  const auto metrics = harness.run_decode(preset_spec(Framework::LlamaCpp), 8);
   EXPECT_GT(metrics.cpu_busy, 0.0);   // CPU layers
   EXPECT_GT(metrics.gpu_busy, 0.0);   // GPU layers + dense phases
   EXPECT_EQ(metrics.transfers, 0U);   // static mapping never moves weights
@@ -72,8 +72,8 @@ TEST(EndToEndTest, CacheRatioImprovesEveryCachingFramework) {
                         Framework::HybriMoE}) {
     ExperimentHarness low(spec_for(moe::ModelConfig::deepseek(), 0.25));
     ExperimentHarness high(spec_for(moe::ModelConfig::deepseek(), 0.75));
-    const double tbt_low = low.run_decode(fw, 16).tbt_mean();
-    const double tbt_high = high.run_decode(fw, 16).tbt_mean();
+    const double tbt_low = low.run_decode(preset_spec(fw), 16).tbt_mean();
+    const double tbt_high = high.run_decode(preset_spec(fw), 16).tbt_mean();
     EXPECT_LT(tbt_high, tbt_low) << to_string(fw);
   }
 }
@@ -82,7 +82,8 @@ TEST(EndToEndTest, PrefillLatencyGrowsWithPromptLength) {
   ExperimentHarness harness(spec_for(moe::ModelConfig::qwen2(), 0.5));
   double prev = 0.0;
   for (const std::size_t tokens : {32UL, 128UL, 512UL}) {
-    const double ttft = harness.run_prefill(Framework::HybriMoE, tokens).ttft();
+    const double ttft =
+        harness.run_prefill(preset_spec(Framework::HybriMoE), tokens).ttft();
     EXPECT_GT(ttft, prev);
     prev = ttft;
   }
@@ -90,10 +91,10 @@ TEST(EndToEndTest, PrefillLatencyGrowsWithPromptLength) {
 
 TEST(EndToEndTest, MixtralHasNoSharedExpertTime) {
   ExperimentHarness harness(spec_for(moe::ModelConfig::mixtral(), 0.5));
-  const auto metrics = harness.run_decode(Framework::HybriMoE, 4);
+  const auto metrics = harness.run_decode(preset_spec(Framework::HybriMoE), 4);
   EXPECT_EQ(metrics.shared_time, 0.0);
   ExperimentHarness ds(spec_for(moe::ModelConfig::deepseek(), 0.5));
-  EXPECT_GT(ds.run_decode(Framework::HybriMoE, 4).shared_time, 0.0);
+  EXPECT_GT(ds.run_decode(preset_spec(Framework::HybriMoE), 4).shared_time, 0.0);
 }
 
 TEST(EndToEndTest, FailureInjectionExtremeRatios) {
@@ -101,7 +102,7 @@ TEST(EndToEndTest, FailureInjectionExtremeRatios) {
   for (const double ratio : {0.0, 1.0}) {
     ExperimentHarness harness(spec_for(moe::ModelConfig::deepseek(), ratio, 77));
     for (const auto fw : kPaperFrameworks) {
-      EXPECT_GT(harness.run_decode(fw, 3).tbt_mean(), 0.0)
+      EXPECT_GT(harness.run_decode(preset_spec(fw), 3).tbt_mean(), 0.0)
           << to_string(fw) << " ratio " << ratio;
     }
   }
@@ -109,7 +110,7 @@ TEST(EndToEndTest, FailureInjectionExtremeRatios) {
 
 TEST(EndToEndTest, FullyCachedDecodeHasAlmostNoMisses) {
   ExperimentHarness harness(spec_for(moe::ModelConfig::deepseek(), 1.0));
-  const auto metrics = harness.run_decode(Framework::HybriMoE, 8);
+  const auto metrics = harness.run_decode(preset_spec(Framework::HybriMoE), 8);
   // Capacity covers every expert; after warmup seeding everything hits.
   EXPECT_GT(metrics.cache.hit_rate(), 0.95);
 }
@@ -123,8 +124,8 @@ TEST(EndToEndTest, SingleLayerAndSingleStepEdgeCases) {
   spec.warmup_steps = 2;
   ExperimentHarness harness(spec);
   for (const auto fw : kPaperFrameworks) {
-    EXPECT_GT(harness.run_decode(fw, 1).tbt_mean(), 0.0) << to_string(fw);
-    EXPECT_GT(harness.run_prefill(fw, 1).ttft(), 0.0) << to_string(fw);
+    EXPECT_GT(harness.run_decode(preset_spec(fw), 1).tbt_mean(), 0.0) << to_string(fw);
+    EXPECT_GT(harness.run_prefill(preset_spec(fw), 1).ttft(), 0.0) << to_string(fw);
   }
 }
 

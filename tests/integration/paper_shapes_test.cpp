@@ -44,8 +44,10 @@ double replay_hit_rate(const workload::DecodeTrace& trace, const moe::ModelConfi
 TEST(PaperShapesTest, HybriMoEWinsDecodeOnEveryModelAt25) {
   for (const auto& model : moe::paper_models()) {
     ExperimentHarness harness(spec_for(model, 0.25));
-    const double ktrans = harness.run_decode(Framework::KTransformers, 24).tbt_mean();
-    const double hybrimoe = harness.run_decode(Framework::HybriMoE, 24).tbt_mean();
+    const double ktrans =
+        harness.run_decode(preset_spec(Framework::KTransformers), 24).tbt_mean();
+    const double hybrimoe =
+        harness.run_decode(preset_spec(Framework::HybriMoE), 24).tbt_mean();
     EXPECT_GT(ktrans / hybrimoe, 1.15) << model.name;  // paper: ~1.5-1.9
   }
 }
@@ -53,8 +55,10 @@ TEST(PaperShapesTest, HybriMoEWinsDecodeOnEveryModelAt25) {
 TEST(PaperShapesTest, HybriMoEWinsPrefillOnEveryModelAt25) {
   for (const auto& model : moe::paper_models()) {
     ExperimentHarness harness(spec_for(model, 0.25));
-    const double ktrans = harness.run_prefill(Framework::KTransformers, 128).ttft();
-    const double hybrimoe = harness.run_prefill(Framework::HybriMoE, 128).ttft();
+    const double ktrans =
+        harness.run_prefill(preset_spec(Framework::KTransformers), 128).ttft();
+    const double hybrimoe =
+        harness.run_prefill(preset_spec(Framework::HybriMoE), 128).ttft();
     EXPECT_GT(ktrans / hybrimoe, 1.05) << model.name;  // paper avg: 1.33
   }
 }
@@ -63,23 +67,26 @@ TEST(PaperShapesTest, LlamaCppTerribleAtPrefillDecentAtDecode) {
   // "llama.cpp exhibits significantly higher prefill latency ... [but]
   // demonstrates relatively strong performance in [decode]" (§VI-B).
   ExperimentHarness qwen(spec_for(moe::ModelConfig::qwen2(), 0.5));
-  const double llama_prefill = qwen.run_prefill(Framework::LlamaCpp, 128).ttft();
-  const double ktrans_prefill = qwen.run_prefill(Framework::KTransformers, 128).ttft();
+  const double llama_prefill =
+      qwen.run_prefill(preset_spec(Framework::LlamaCpp), 128).ttft();
+  const double ktrans_prefill =
+      qwen.run_prefill(preset_spec(Framework::KTransformers), 128).ttft();
   EXPECT_GT(llama_prefill, 2.5 * ktrans_prefill);
 
   ExperimentHarness deepseek(spec_for(moe::ModelConfig::deepseek(), 0.5));
   const double llama_decode =
-      deepseek.run_decode(Framework::LlamaCpp, 16).tbt_mean();
+      deepseek.run_decode(preset_spec(Framework::LlamaCpp), 16).tbt_mean();
   const double ktrans_decode =
-      deepseek.run_decode(Framework::KTransformers, 16).tbt_mean();
+      deepseek.run_decode(preset_spec(Framework::KTransformers), 16).tbt_mean();
   EXPECT_LT(llama_decode, 2.0 * ktrans_decode);  // competitive, not 3x+ off
 }
 
 TEST(PaperShapesTest, AdapMoESuffersInDecodeAtLowCache) {
   // GPU-centric on-demand loading stalls on PCIe when the cache is small.
   ExperimentHarness harness(spec_for(moe::ModelConfig::mixtral(), 0.25));
-  const double adap = harness.run_decode(Framework::AdapMoE, 16).tbt_mean();
-  const double hybrimoe = harness.run_decode(Framework::HybriMoE, 16).tbt_mean();
+  const double adap = harness.run_decode(preset_spec(Framework::AdapMoE), 16).tbt_mean();
+  const double hybrimoe =
+      harness.run_decode(preset_spec(Framework::HybriMoE), 16).tbt_mean();
   EXPECT_GT(adap, 1.5 * hybrimoe);
 }
 
@@ -88,8 +95,10 @@ TEST(PaperShapesTest, SpeedupShrinksAsCacheGrows) {
   const auto model = moe::ModelConfig::deepseek();
   auto speedup_at = [&](double ratio) {
     ExperimentHarness harness(spec_for(model, ratio));
-    const double ktrans = harness.run_decode(Framework::KTransformers, 24).tbt_mean();
-    const double hybrimoe = harness.run_decode(Framework::HybriMoE, 24).tbt_mean();
+    const double ktrans =
+        harness.run_decode(preset_spec(Framework::KTransformers), 24).tbt_mean();
+    const double hybrimoe =
+        harness.run_decode(preset_spec(Framework::HybriMoE), 24).tbt_mean();
     return ktrans / hybrimoe;
   };
   EXPECT_GT(speedup_at(0.25), speedup_at(0.75) - 0.05);
@@ -99,15 +108,14 @@ TEST(PaperShapesTest, SpeedupShrinksAsCacheGrows) {
 
 TEST(PaperShapesTest, AblationOrderingDecode) {
   ExperimentHarness harness(spec_for(moe::ModelConfig::qwen2(), 0.25));
-  const double base =
-      harness.run_decode(core::HybriMoeConfig::baseline(), 16).total_latency;
-  const double sched =
-      harness.run_decode(core::HybriMoeConfig::scheduling_only(), 16).total_latency;
-  const double pref =
-      harness.run_decode(core::HybriMoeConfig::prefetching_only(), 16).total_latency;
-  const double cach =
-      harness.run_decode(core::HybriMoeConfig::caching_only(), 16).total_latency;
-  const double all = harness.run_decode(core::HybriMoeConfig::full(), 16).total_latency;
+  auto decode = [&harness](const core::HybriMoeConfig& config) {
+    return harness.run_decode(ablation_spec(config), 16).total_latency;
+  };
+  const double base = decode(core::HybriMoeConfig::baseline());
+  const double sched = decode(core::HybriMoeConfig::scheduling_only());
+  const double pref = decode(core::HybriMoeConfig::prefetching_only());
+  const double cach = decode(core::HybriMoeConfig::caching_only());
+  const double all = decode(core::HybriMoeConfig::full());
 
   // Every technique helps; scheduling is the largest single win; the full
   // system is fastest (paper Table III).
@@ -121,12 +129,12 @@ TEST(PaperShapesTest, AblationOrderingDecode) {
 
 TEST(PaperShapesTest, AblationOrderingPrefill) {
   ExperimentHarness harness(spec_for(moe::ModelConfig::qwen2(), 0.25));
-  const double base =
-      harness.run_prefill(core::HybriMoeConfig::baseline(), 128).total_latency;
-  const double sched =
-      harness.run_prefill(core::HybriMoeConfig::scheduling_only(), 128).total_latency;
-  const double all =
-      harness.run_prefill(core::HybriMoeConfig::full(), 128).total_latency;
+  auto prefill = [&harness](const core::HybriMoeConfig& config) {
+    return harness.run_prefill(ablation_spec(config), 128).total_latency;
+  };
+  const double base = prefill(core::HybriMoeConfig::baseline());
+  const double sched = prefill(core::HybriMoeConfig::scheduling_only());
+  const double all = prefill(core::HybriMoeConfig::full());
   EXPECT_LT(sched, base);
   EXPECT_LE(all, base);
 }
@@ -196,8 +204,8 @@ TEST(PaperShapesTest, NoSingleBaselineWinsEverywhere) {
     for (const auto fw : {Framework::LlamaCpp, Framework::AdapMoE,
                           Framework::KTransformers}) {
       const double latency = sc.prefill
-                                 ? harness.run_prefill(fw, 64).ttft()
-                                 : harness.run_decode(fw, 12).tbt_mean();
+                                 ? harness.run_prefill(preset_spec(fw), 64).ttft()
+                                 : harness.run_decode(preset_spec(fw), 12).tbt_mean();
       if (latency < best) {
         best = latency;
         winner = fw;

@@ -38,7 +38,7 @@ class BatchDecodeEngineTest : public ::testing::Test {
 TEST_F(BatchDecodeEngineTest, AllFrameworksHandleBatchedSteps) {
   const auto trace = batch_trace(4, 6);
   for (const auto fw : kPaperFrameworks) {
-    auto engine = make_engine(fw, costs_, info_);
+    auto engine = make_engine(preset_spec(fw), costs_, info_);
     const auto metrics = engine->run_decode(trace);
     EXPECT_GT(metrics.total_latency, 0.0) << to_string(fw);
     EXPECT_EQ(metrics.per_forward.size(), 4U);
@@ -47,8 +47,8 @@ TEST_F(BatchDecodeEngineTest, AllFrameworksHandleBatchedSteps) {
 
 TEST_F(BatchDecodeEngineTest, PerTokenLatencyImprovesWithBatching) {
   // Amortisation: 8 sessions decode together faster per token than alone.
-  auto engine1 = make_engine(Framework::HybriMoE, costs_, info_);
-  auto engine8 = make_engine(Framework::HybriMoE, costs_, info_);
+  auto engine1 = make_engine(preset_spec(Framework::HybriMoE), costs_, info_);
+  auto engine8 = make_engine(preset_spec(Framework::HybriMoE), costs_, info_);
   const auto single = engine1->run_decode(batch_trace(8, 1));
   const auto batched = engine8->run_decode(batch_trace(8, 8));
   const double per_token_single = single.total_latency / 8.0;
@@ -59,8 +59,8 @@ TEST_F(BatchDecodeEngineTest, PerTokenLatencyImprovesWithBatching) {
 TEST_F(BatchDecodeEngineTest, LargeBatchesTriggerGpuStreaming) {
   // At batch 1 DeepSeek misses are cheapest on the CPU; at batch 16 the
   // per-expert loads push the hybrid scheduler toward PCIe streaming.
-  auto small_engine = make_engine(Framework::HybriMoE, costs_, info_);
-  auto large_engine = make_engine(Framework::HybriMoE, costs_, info_);
+  auto small_engine = make_engine(preset_spec(Framework::HybriMoE), costs_, info_);
+  auto large_engine = make_engine(preset_spec(Framework::HybriMoE), costs_, info_);
   const auto small = small_engine->run_decode(batch_trace(6, 1));
   const auto large = large_engine->run_decode(batch_trace(6, 16));
   const double small_rate =
@@ -72,8 +72,8 @@ TEST_F(BatchDecodeEngineTest, LargeBatchesTriggerGpuStreaming) {
 
 TEST_F(BatchDecodeEngineTest, HybriMoEStillLeadsUnderBatching) {
   const auto trace = batch_trace(8, 4);
-  auto ktrans = make_engine(Framework::KTransformers, costs_, info_);
-  auto hybrimoe = make_engine(Framework::HybriMoE, costs_, info_);
+  auto ktrans = make_engine(preset_spec(Framework::KTransformers), costs_, info_);
+  auto hybrimoe = make_engine(preset_spec(Framework::HybriMoE), costs_, info_);
   const double kt = ktrans->run_decode(trace).total_latency;
   const double hm = hybrimoe->run_decode(trace).total_latency;
   EXPECT_GT(kt / hm, 1.1);

@@ -21,8 +21,8 @@ class EngineTest : public ::testing::Test {
     EngineComponents c;
     c.name = "test-hybrid";
     c.scheduler = std::make_unique<sched::HybridScheduler>();
-    c.cache = std::make_unique<cache::ExpertCache>(capacity,
-                                                   std::make_unique<cache::MrsPolicy>());
+    c.caches.push_back(std::make_unique<cache::ExpertCache>(
+        capacity, std::make_unique<cache::MrsPolicy>()));
     c.prefetcher = std::make_unique<core::ImpactDrivenPrefetcher>();
     c.dynamic_cache_inserts = true;
     c.update_policy_scores = true;
@@ -51,8 +51,8 @@ class EngineTest : public ::testing::Test {
 TEST_F(EngineTest, RequiresComponents) {
   EngineComponents missing_sched;
   missing_sched.name = "x";
-  missing_sched.cache =
-      std::make_unique<cache::ExpertCache>(1, std::make_unique<cache::LruPolicy>());
+  missing_sched.caches.push_back(
+      std::make_unique<cache::ExpertCache>(1, std::make_unique<cache::LruPolicy>()));
   EXPECT_THROW(OffloadEngine(std::move(missing_sched), costs_), std::invalid_argument);
 
   EngineComponents missing_cache;
@@ -101,9 +101,9 @@ TEST_F(EngineTest, SeedCacheRespectsCapacityAndPinning) {
   OffloadEngine engine(hybrid_components(3), costs_);
   const std::vector<moe::ExpertId> seeds = {{0, 0}, {0, 1}, {1, 0}, {1, 1}};
   engine.seed_cache(seeds, /*pinned=*/true);
-  EXPECT_EQ(engine.cache().size(), 3U);
-  EXPECT_TRUE(engine.cache().is_pinned({0, 0}));
-  EXPECT_FALSE(engine.cache().contains({1, 1}));
+  EXPECT_EQ(engine.device_cache(0).size(), 3U);
+  EXPECT_TRUE(engine.device_cache(0).is_pinned({0, 0}));
+  EXPECT_FALSE(engine.device_cache(0).contains({1, 1}));
 }
 
 TEST_F(EngineTest, StaticCacheStaysStatic) {
@@ -111,23 +111,23 @@ TEST_F(EngineTest, StaticCacheStaysStatic) {
   EngineComponents c;
   c.name = "static";
   c.scheduler = std::make_unique<sched::FixedMapScheduler>();
-  c.cache =
-      std::make_unique<cache::ExpertCache>(4, std::make_unique<cache::LfuPolicy>());
+  c.caches.push_back(
+      std::make_unique<cache::ExpertCache>(4, std::make_unique<cache::LfuPolicy>()));
   c.dynamic_cache_inserts = false;
   c.update_policy_scores = false;
   OffloadEngine engine(std::move(c), costs_);
   const std::vector<moe::ExpertId> seeds = {{0, 0}, {1, 1}, {2, 2}, {3, 3}};
   engine.seed_cache(seeds, true);
-  const auto before = engine.cache().residents();
+  const auto before = engine.device_cache(0).residents();
   (void)engine.run_decode(decode_trace(8));
-  EXPECT_EQ(engine.cache().residents(), before);
+  EXPECT_EQ(engine.device_cache(0).residents(), before);
 }
 
 TEST_F(EngineTest, DynamicDecodeInsertsGrowCache) {
   OffloadEngine engine(hybrid_components(8), costs_);
-  EXPECT_EQ(engine.cache().size(), 0U);
+  EXPECT_EQ(engine.device_cache(0).size(), 0U);
   const auto metrics = engine.run_decode(decode_trace(8));
-  EXPECT_GT(engine.cache().size(), 0U);
+  EXPECT_GT(engine.device_cache(0).size(), 0U);
   EXPECT_GT(metrics.transfers + metrics.maintenance + metrics.prefetches, 0U);
 }
 
@@ -135,9 +135,9 @@ TEST_F(EngineTest, PrefillDoesNotMutateCacheContents) {
   OffloadEngine engine(hybrid_components(6), costs_);
   const std::vector<moe::ExpertId> seeds = {{0, 0}, {1, 1}, {2, 2}};
   engine.seed_cache(seeds, false);
-  const auto before = engine.cache().residents();
+  const auto before = engine.device_cache(0).residents();
   (void)engine.run_prefill(prefill_trace(12));
-  EXPECT_EQ(engine.cache().residents(), before);  // transient buffers only
+  EXPECT_EQ(engine.device_cache(0).residents(), before);  // transient buffers only
 }
 
 TEST_F(EngineTest, ZeroCapacityCacheStillRuns) {
@@ -145,8 +145,8 @@ TEST_F(EngineTest, ZeroCapacityCacheStillRuns) {
   EngineComponents c;
   c.name = "llama";
   c.scheduler = std::make_unique<sched::StaticLayerScheduler>(model_.num_layers, 0.5);
-  c.cache =
-      std::make_unique<cache::ExpertCache>(0, std::make_unique<cache::LruPolicy>());
+  c.caches.push_back(
+      std::make_unique<cache::ExpertCache>(0, std::make_unique<cache::LruPolicy>()));
   c.dynamic_cache_inserts = false;
   c.update_policy_scores = false;
   OffloadEngine engine(std::move(c), costs_);

@@ -45,7 +45,7 @@ TEST_F(FrameworksTest, AllFrameworksBuildAndRun) {
   for (const auto fw : {Framework::LlamaCpp, Framework::AdapMoE,
                         Framework::KTransformers, Framework::HybriMoE,
                         Framework::OnDemand}) {
-    auto engine = make_engine(fw, costs_, info_);
+    auto engine = make_engine(preset_spec(fw), costs_, info_);
     ASSERT_NE(engine, nullptr);
     EXPECT_EQ(engine->name(), to_string(fw));
     EXPECT_GT(engine->run_decode(decode).total_latency, 0.0);
@@ -54,23 +54,23 @@ TEST_F(FrameworksTest, AllFrameworksBuildAndRun) {
 }
 
 TEST_F(FrameworksTest, KTransformersSeedsPinnedHotExperts) {
-  auto engine = make_engine(Framework::KTransformers, costs_, info_);
+  auto engine = make_engine(preset_spec(Framework::KTransformers), costs_, info_);
   // Capacity = 25% of 4*8 = 8; the hottest experts are e=7 of each layer etc.
-  EXPECT_EQ(engine->cache().size(), 8U);
-  EXPECT_TRUE(engine->cache().contains({0, 7}));
-  EXPECT_TRUE(engine->cache().is_pinned({0, 7}));
+  EXPECT_EQ(engine->device_cache(0).size(), 8U);
+  EXPECT_TRUE(engine->device_cache(0).contains({0, 7}));
+  EXPECT_TRUE(engine->device_cache(0).is_pinned({0, 7}));
 }
 
 TEST_F(FrameworksTest, HybriMoESeedsUnpinned) {
-  auto engine = make_engine(Framework::HybriMoE, costs_, info_);
-  EXPECT_EQ(engine->cache().size(), 8U);
-  EXPECT_TRUE(engine->cache().contains({0, 7}));
-  EXPECT_FALSE(engine->cache().is_pinned({0, 7}));
+  auto engine = make_engine(preset_spec(Framework::HybriMoE), costs_, info_);
+  EXPECT_EQ(engine->device_cache(0).size(), 8U);
+  EXPECT_TRUE(engine->device_cache(0).contains({0, 7}));
+  EXPECT_FALSE(engine->device_cache(0).is_pinned({0, 7}));
 }
 
 TEST_F(FrameworksTest, LlamaCppHasNoCache) {
-  auto engine = make_engine(Framework::LlamaCpp, costs_, info_);
-  EXPECT_EQ(engine->cache().capacity(), 0U);
+  auto engine = make_engine(preset_spec(Framework::LlamaCpp), costs_, info_);
+  EXPECT_EQ(engine->device_cache(0).capacity(), 0U);
 }
 
 TEST_F(FrameworksTest, AblationLabels) {
@@ -90,7 +90,7 @@ TEST_F(FrameworksTest, AblationEnginesBuildAndRun) {
        {core::HybriMoeConfig::baseline(), core::HybriMoeConfig::scheduling_only(),
         core::HybriMoeConfig::prefetching_only(), core::HybriMoeConfig::caching_only(),
         core::HybriMoeConfig::full()}) {
-    auto engine = make_ablation_engine(config, costs_, info_);
+    auto engine = make_engine(ablation_spec(config), costs_, info_);
     ASSERT_NE(engine, nullptr);
     EXPECT_EQ(engine->name(), config.label());
     EXPECT_GT(engine->run_decode(decode).total_latency, 0.0);
@@ -105,8 +105,9 @@ TEST_F(FrameworksTest, BaselineAblationEqualsKTransformersPolicy) {
   params.seed = 83;
   workload::TraceGenerator gen(model_, params);
   const auto decode = gen.generate_decode(6);
-  auto ktrans = make_engine(Framework::KTransformers, costs_, info_);
-  auto baseline = make_ablation_engine(core::HybriMoeConfig::baseline(), costs_, info_);
+  auto ktrans = make_engine(preset_spec(Framework::KTransformers), costs_, info_);
+  auto baseline =
+      make_engine(ablation_spec(core::HybriMoeConfig::baseline()), costs_, info_);
   const auto mk = ktrans->run_decode(decode);
   const auto mb = baseline->run_decode(decode);
   EXPECT_NEAR(mk.total_latency, mb.total_latency, 1e-9);
@@ -116,8 +117,8 @@ TEST_F(FrameworksTest, BaselineAblationEqualsKTransformersPolicy) {
 TEST_F(FrameworksTest, EmptyWarmupFrequenciesHandled) {
   EngineBuildInfo no_warmup;
   no_warmup.cache_ratio = 0.25;
-  auto engine = make_engine(Framework::HybriMoE, costs_, no_warmup);
-  EXPECT_EQ(engine->cache().size(), 0U);  // nothing seeded
+  auto engine = make_engine(preset_spec(Framework::HybriMoE), costs_, no_warmup);
+  EXPECT_EQ(engine->device_cache(0).size(), 0U);  // nothing seeded
   workload::TraceGenParams params;
   workload::TraceGenerator gen(model_, params);
   EXPECT_GT(engine->run_decode(gen.generate_decode(2)).total_latency, 0.0);

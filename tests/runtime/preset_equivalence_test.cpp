@@ -45,7 +45,7 @@ void legacy_seed_from_warmup(OffloadEngine& engine, const EngineBuildInfo& info,
                              bool pinned) {
   if (info.warmup_frequencies.empty()) return;
   const auto hottest =
-      core::hottest_experts(info.warmup_frequencies, engine.cache().capacity());
+      core::hottest_experts(info.warmup_frequencies, engine.device_cache(0).capacity());
   engine.seed_cache(hottest, pinned);
 }
 
@@ -61,8 +61,8 @@ std::unique_ptr<OffloadEngine> legacy_make_engine(Framework framework,
       c.name = to_string(framework);
       sched::SimOptions hybrid_options;  // all features on
       c.scheduler = std::make_unique<sched::HybridScheduler>(hybrid_options);
-      c.cache = legacy_make_cache(model, info.cache_ratio,
-                                  std::make_unique<cache::MrsPolicy>());
+      c.caches.push_back(legacy_make_cache(model, info.cache_ratio,
+                                           std::make_unique<cache::MrsPolicy>()));
       c.prefetcher = std::make_unique<core::ImpactDrivenPrefetcher>(
           core::ImpactDrivenPrefetcher::Params{}, hybrid_options);
       c.dynamic_cache_inserts = true;
@@ -74,8 +74,8 @@ std::unique_ptr<OffloadEngine> legacy_make_engine(Framework framework,
     case Framework::KTransformers: {
       c.name = to_string(framework);
       c.scheduler = std::make_unique<sched::FixedMapScheduler>();
-      c.cache = legacy_make_cache(model, info.cache_ratio,
-                                  std::make_unique<cache::LfuPolicy>());
+      c.caches.push_back(legacy_make_cache(model, info.cache_ratio,
+                                           std::make_unique<cache::LfuPolicy>()));
       c.prefetcher = nullptr;
       c.dynamic_cache_inserts = false;  // static placement
       c.update_policy_scores = false;
@@ -87,8 +87,8 @@ std::unique_ptr<OffloadEngine> legacy_make_engine(Framework framework,
     case Framework::AdapMoE: {
       c.name = to_string(framework);
       c.scheduler = std::make_unique<sched::GpuCentricScheduler>();
-      c.cache = legacy_make_cache(model, info.cache_ratio,
-                                  std::make_unique<cache::LruPolicy>());
+      c.caches.push_back(legacy_make_cache(model, info.cache_ratio,
+                                           std::make_unique<cache::LruPolicy>()));
       c.prefetcher = std::make_unique<core::NextLayerTopPrefetcher>();
       c.dynamic_cache_inserts = true;
       c.update_policy_scores = false;
@@ -101,7 +101,8 @@ std::unique_ptr<OffloadEngine> legacy_make_engine(Framework framework,
       c.scheduler =
           std::make_unique<sched::StaticLayerScheduler>(model.num_layers, info.cache_ratio);
       // llama.cpp has no expert cache; residency is the static layer split.
-      c.cache = std::make_unique<cache::ExpertCache>(0, std::make_unique<cache::LruPolicy>());
+      c.caches.push_back(
+          std::make_unique<cache::ExpertCache>(0, std::make_unique<cache::LruPolicy>()));
       c.prefetcher = nullptr;
       c.dynamic_cache_inserts = false;
       c.update_policy_scores = false;
@@ -112,8 +113,8 @@ std::unique_ptr<OffloadEngine> legacy_make_engine(Framework framework,
     case Framework::OnDemand: {
       c.name = to_string(framework);
       c.scheduler = std::make_unique<sched::GpuCentricScheduler>();
-      c.cache = legacy_make_cache(model, info.cache_ratio,
-                                  std::make_unique<cache::LruPolicy>());
+      c.caches.push_back(legacy_make_cache(model, info.cache_ratio,
+                                           std::make_unique<cache::LruPolicy>()));
       c.prefetcher = nullptr;
       c.dynamic_cache_inserts = true;
       c.update_policy_scores = false;
@@ -149,15 +150,15 @@ std::unique_ptr<OffloadEngine> legacy_make_ablation_engine(
 
   bool pin_seed;
   if (config.score_aware_caching) {
-    c.cache = legacy_make_cache(model, info.cache_ratio,
-                                std::make_unique<cache::MrsPolicy>(config.mrs));
+    c.caches.push_back(legacy_make_cache(model, info.cache_ratio,
+                                         std::make_unique<cache::MrsPolicy>(config.mrs)));
     c.dynamic_cache_inserts = true;
     c.update_policy_scores = true;
     c.cache_maintenance = true;
     pin_seed = false;
   } else {
-    c.cache = legacy_make_cache(model, info.cache_ratio,
-                                std::make_unique<cache::LfuPolicy>());
+    c.caches.push_back(legacy_make_cache(model, info.cache_ratio,
+                                         std::make_unique<cache::LfuPolicy>()));
     c.dynamic_cache_inserts = config.hybrid_scheduling || config.impact_prefetching;
     c.update_policy_scores = false;
     c.cache_maintenance = false;
@@ -249,7 +250,7 @@ TEST_F(PresetEquivalenceTest, AllPresetsReproduceLegacyFactoryBitForBit) {
     auto legacy = legacy_make_engine(framework, costs_, info_);
     auto spec = make_engine(preset_spec(framework), costs_, info_);
     EXPECT_EQ(legacy->name(), spec->name());
-    EXPECT_EQ(legacy->cache().capacity(), spec->cache().capacity());
+    EXPECT_EQ(legacy->device_cache(0).capacity(), spec->device_cache(0).capacity());
     expect_identical(legacy->run_prefill(*prefill_), spec->run_prefill(*prefill_),
                      std::string(to_string(framework)) + " prefill");
     expect_identical(legacy->run_decode(*decode_), spec->run_decode(*decode_),

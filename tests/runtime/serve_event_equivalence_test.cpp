@@ -42,7 +42,7 @@ ServeMetrics reference_step_loop_run(OffloadEngine& engine,
     m.prompt_tokens = requests[i].spec.prompt_tokens;
   }
   StageMetrics& steps = metrics.steps;
-  engine.cache().reset_stats();
+  engine.device_cache(0).reset_stats();
 
   double clock = 0.0;
   std::size_t next_arrival = 0;
@@ -236,7 +236,7 @@ ServeMetrics reference_step_loop_run(OffloadEngine& engine,
 
   metrics.makespan = clock;
   steps.stage = any_decode ? sched::Stage::Decode : sched::Stage::Prefill;
-  cache::CacheStats stats = engine.cache().stats();
+  cache::CacheStats stats = engine.device_cache(0).stats();
   stats.hits += steps.cache.hits;
   steps.cache = stats;
 
@@ -293,11 +293,11 @@ void expect_engines_agree(const workload::RequestStreamParams& params,
   ExperimentHarness harness(tiny_spec());
   const auto requests = harness.materialize(specs, options.max_prefill_chunk);
 
-  auto reference_engine = harness.build(Framework::HybriMoE);
+  auto reference_engine = harness.build(preset_spec(Framework::HybriMoE));
   const auto reference =
       reference_step_loop_run(*reference_engine, requests, options);
 
-  ServeEngine event_engine(harness.build(Framework::HybriMoE));
+  ServeEngine event_engine(harness.build(preset_spec(Framework::HybriMoE)));
   const auto event = event_engine.run(requests, options);
 
   expect_identical(event, reference);

@@ -28,8 +28,8 @@ TEST(SessionTest, TracesAreSharedAcrossFrameworks) {
 TEST(SessionTest, DeterministicAcrossHarnesses) {
   ExperimentHarness a(tiny_spec());
   ExperimentHarness b(tiny_spec());
-  const auto ma = a.run_decode(Framework::HybriMoE, 4);
-  const auto mb = b.run_decode(Framework::HybriMoE, 4);
+  const auto ma = a.run_decode(preset_spec(Framework::HybriMoE), 4);
+  const auto mb = b.run_decode(preset_spec(Framework::HybriMoE), 4);
   EXPECT_DOUBLE_EQ(ma.total_latency, mb.total_latency);
   EXPECT_EQ(ma.cache.hits, mb.cache.hits);
 }
@@ -37,8 +37,8 @@ TEST(SessionTest, DeterministicAcrossHarnesses) {
 TEST(SessionTest, DifferentSeedsDifferentTraces) {
   ExperimentHarness a(tiny_spec(1));
   ExperimentHarness b(tiny_spec(2));
-  const auto ma = a.run_decode(Framework::KTransformers, 6);
-  const auto mb = b.run_decode(Framework::KTransformers, 6);
+  const auto ma = a.run_decode(preset_spec(Framework::KTransformers), 6);
+  const auto mb = b.run_decode(preset_spec(Framework::KTransformers), 6);
   EXPECT_NE(ma.total_latency, mb.total_latency);
 }
 
@@ -56,18 +56,20 @@ TEST(SessionTest, WarmupFrequenciesIndependentOfEvaluationTrace) {
 TEST(SessionTest, RunsEveryFrameworkAndConfig) {
   ExperimentHarness harness(tiny_spec());
   for (const auto fw : kPaperFrameworks) {
-    EXPECT_GT(harness.run_prefill(fw, 8).ttft(), 0.0);
-    EXPECT_GT(harness.run_decode(fw, 3).tbt_mean(), 0.0);
+    EXPECT_GT(harness.run_prefill(preset_spec(fw), 8).ttft(), 0.0);
+    EXPECT_GT(harness.run_decode(preset_spec(fw), 3).tbt_mean(), 0.0);
   }
-  EXPECT_GT(harness.run_decode(core::HybriMoeConfig::full(), 3).tbt_mean(), 0.0);
-  EXPECT_GT(harness.run_prefill(core::HybriMoeConfig::baseline(), 8).ttft(), 0.0);
+  const StackSpec full = ablation_spec(core::HybriMoeConfig::full());
+  const StackSpec baseline = ablation_spec(core::HybriMoeConfig::baseline());
+  EXPECT_GT(harness.run_decode(full, 3).tbt_mean(), 0.0);
+  EXPECT_GT(harness.run_prefill(baseline, 8).ttft(), 0.0);
 }
 
 TEST(SessionTest, FreshEnginePerRun) {
   // Two identical runs must not contaminate each other through cache state.
   ExperimentHarness harness(tiny_spec());
-  const auto first = harness.run_decode(Framework::HybriMoE, 5);
-  const auto second = harness.run_decode(Framework::HybriMoE, 5);
+  const auto first = harness.run_decode(preset_spec(Framework::HybriMoE), 5);
+  const auto second = harness.run_decode(preset_spec(Framework::HybriMoE), 5);
   EXPECT_DOUBLE_EQ(first.total_latency, second.total_latency);
 }
 

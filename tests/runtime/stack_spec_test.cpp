@@ -282,11 +282,11 @@ TEST_F(StackSpecEngineTest, SpecCacheRatioOverridesBuildInfo) {
   ExperimentHarness harness(spec_);
   StackSpec stack;
   // 4 layers x 8 experts; build-info ratio 0.25 -> capacity 8.
-  EXPECT_EQ(harness.build(stack)->cache().capacity(), 8U);
+  EXPECT_EQ(harness.build(stack)->device_cache(0).capacity(), 8U);
   stack.cache.ratio = 0.5;
-  EXPECT_EQ(harness.build(stack)->cache().capacity(), 16U);
+  EXPECT_EQ(harness.build(stack)->device_cache(0).capacity(), 16U);
   stack.cache.ratio = 0.0;
-  EXPECT_EQ(harness.build(stack)->cache().capacity(), 0U);
+  EXPECT_EQ(harness.build(stack)->device_cache(0).capacity(), 0U);
 }
 
 TEST_F(StackSpecEngineTest, ThreadedExecutionOverrideRequiresExecutor) {
@@ -317,7 +317,7 @@ TEST_F(StackSpecEngineTest, ServeAcceptsSpecs) {
   stream.seed = 5;
   const auto requests = workload::generate_request_stream(stream);
 
-  const auto preset = harness.serve(Framework::HybriMoE, requests);
+  const auto preset = harness.serve(preset_spec(Framework::HybriMoE), requests);
   const auto spec_run = harness.serve(preset_spec(Framework::HybriMoE), requests);
   ASSERT_EQ(preset.requests.size(), spec_run.requests.size());
   EXPECT_EQ(preset.makespan, spec_run.makespan);

@@ -73,10 +73,10 @@ TEST(Topology, RoundTripsThroughMachineProfile) {
   const auto machine = hw::MachineProfile::laptop_edge();
   const auto topo = hw::Topology::from_machine(machine);
   ASSERT_EQ(topo.num_accelerators(), 1u);
-  const auto back = topo.primary_machine();
-  EXPECT_EQ(back.gpu.flops, machine.gpu.flops);
-  EXPECT_EQ(back.pcie.bandwidth, machine.pcie.bandwidth);
-  EXPECT_EQ(back.cpu.flops, machine.cpu.flops);
+  const hw::AcceleratorProfile& gpu = topo.accelerators.front();
+  EXPECT_EQ(gpu.compute.flops, machine.gpu.flops);
+  EXPECT_EQ(gpu.link.bandwidth, machine.pcie.bandwidth);
+  EXPECT_EQ(topo.cpu.flops, machine.cpu.flops);
 }
 
 TEST(MultiDeviceSimulator, EveryExpertPlacedExactlyOnceAndPlansValidate) {
@@ -182,7 +182,8 @@ TEST(MultiDeviceSimulator, SingleDeviceTopologyMatchesMachineProfileBitForBit) {
     EXPECT_EQ(a.tasks[i].transfer_end, b.tasks[i].transfer_end);
   }
   EXPECT_EQ(a.makespan, b.makespan);
-  EXPECT_EQ(a.pcie_end, b.pcie_end);
+  EXPECT_EQ(a.link_offsets, b.link_offsets);
+  EXPECT_EQ(a.link_ends, b.link_ends);
   EXPECT_EQ(a.cpu_busy, b.cpu_busy);
   EXPECT_EQ(a.gpu_busy, b.gpu_busy);
   EXPECT_EQ(a.pcie_busy, b.pcie_busy);

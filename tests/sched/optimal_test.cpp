@@ -125,7 +125,7 @@ TEST_F(OptimalTest, AssignmentMakespanMatchesBruteForceOrdering) {
   const double johnson = assignment_makespan(demands, all_gpu, costs_);
   // Brute force: the flow-shop optimum over 3! orders computed by hand is
   // bounded below by total transfer time + last GPU job.
-  const double xfer = costs_.transfer_time();
+  const double xfer = costs_.transfer_time(0);
   EXPECT_GE(johnson, 3 * xfer);            // PCIe chain is serial
   EXPECT_LE(johnson, 3 * xfer + 3.0 + 1e-9);  // never worse than xfers + all GPU
 }

@@ -30,7 +30,8 @@ LayerPlan valid_plan() {
   plan.cpu_busy = 2.0;
   plan.gpu_busy = 1.0;
   plan.pcie_busy = 3.0;
-  plan.pcie_end = 3.0;
+  plan.link_offsets = {0.0};
+  plan.link_ends = {3.0};
   return plan;
 }
 
@@ -129,9 +130,32 @@ TEST(ValidatePlanTest, DetectsGpuStartInsideDensePhase) {
 
 TEST(ValidatePlanTest, DetectsTransferBeforePcieOffset) {
   auto plan = valid_plan();
-  plan.pcie_offset = 1.0;  // transfer starts at 0.0
-  plan.pcie_end = 3.0;
+  plan.link_offsets = {1.0};  // transfer starts at 0.0
   EXPECT_FALSE(validate_plan(plan, matching_demands()).empty());
+}
+
+TEST(ValidatePlanTest, RejectsPlanWithoutLinkVectors) {
+  auto plan = valid_plan();
+  plan.link_offsets.clear();
+  plan.link_ends.clear();
+  EXPECT_FALSE(validate_plan(plan, matching_demands()).empty());
+}
+
+TEST(ValidatePlanTest, RejectsLinkVectorsOfDifferentSizes) {
+  auto plan = valid_plan();
+  plan.link_ends = {3.0, 0.0};
+  EXPECT_FALSE(validate_plan(plan, matching_demands()).empty());
+}
+
+TEST(ValidatePlanTest, RejectsLinkVectorsMissingATaskDevice) {
+  // The transferred expert moves to accelerator 1, which has no link entry.
+  auto plan = valid_plan();
+  plan.tasks[1].device = accelerator_device(1);
+  EXPECT_FALSE(validate_plan(plan, matching_demands()).empty());
+  plan.link_offsets = {0.0, 0.0};
+  plan.link_ends = {0.0, 3.0};
+  const auto issues = validate_plan(plan, matching_demands());
+  EXPECT_TRUE(issues.empty()) << (issues.empty() ? "" : issues.front());
 }
 
 TEST(LayerPlanTest, TransferredExpertsListed) {

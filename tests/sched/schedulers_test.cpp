@@ -99,7 +99,8 @@ TEST_F(SchedulersTest, GpuBusyUntilThreadsThrough) {
   HybridScheduler hybrid;
   const auto plan = hybrid.schedule(0, Stage::Decode, demands_, costs_, 5.0, 1.0);
   EXPECT_DOUBLE_EQ(plan.gpu_offset, 5.0);
-  EXPECT_DOUBLE_EQ(plan.pcie_offset, 1.0);
+  ASSERT_EQ(plan.link_offsets.size(), 1U);
+  EXPECT_DOUBLE_EQ(plan.link_offsets[0], 1.0);
   EXPECT_GE(plan.makespan, 5.0);
   for (const auto& t : plan.tasks) {
     if (t.device == kGpuDevice) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <ostream>
 
 #include "util/rng.hpp"
 
@@ -252,6 +253,11 @@ struct OptionCase {
   const char* name;
   SimOptions options;
 };
+
+/// Print a case by name. Without this gtest prints the raw object bytes,
+/// which include the (ASLR-randomised) address of `name`, so the registered
+/// test names changed from one test discovery to the next.
+void PrintTo(const OptionCase& c, std::ostream* os) { *os << c.name; }
 
 class PlanValidityTest : public ::testing::TestWithParam<OptionCase> {};
 

@@ -36,6 +36,11 @@ constexpr double kExecScale = 3e-3;
 constexpr double kExecScale = 3e-4;
 #endif
 
+/// The stack every traced run serves.
+runtime::StackSpec hybrimoe_stack() {
+  return runtime::preset_spec(runtime::Framework::HybriMoE);
+}
+
 runtime::ExperimentSpec make_spec() {
   runtime::ExperimentSpec spec;
   spec.model = moe::ModelConfig::tiny();
@@ -82,7 +87,7 @@ std::vector<std::string> traced_run() {
   runtime::ServeOptions options = make_options();
   options.hook = &recorder;
   const auto metrics =
-      harness.serve(runtime::Framework::HybriMoE, make_stream(), options);
+      harness.serve(hybrimoe_stack(), make_stream(), options);
   recorder.write_summary(metrics);
   return sink.lines();
 }
@@ -109,7 +114,7 @@ TEST(RecorderTest, RecordedRunReportsIdenticalMetrics) {
   const auto specs = make_stream();
   runtime::ExperimentHarness plain_harness(make_spec());
   const auto plain =
-      plain_harness.serve(runtime::Framework::HybriMoE, specs, make_options());
+      plain_harness.serve(hybrimoe_stack(), specs, make_options());
 
   runtime::ExperimentHarness traced_harness(make_spec());
   VectorSink sink;
@@ -117,7 +122,7 @@ TEST(RecorderTest, RecordedRunReportsIdenticalMetrics) {
   runtime::ServeOptions options = make_options();
   options.hook = &recorder;
   const auto traced =
-      traced_harness.serve(runtime::Framework::HybriMoE, specs, options);
+      traced_harness.serve(hybrimoe_stack(), specs, options);
 
   EXPECT_EQ(plain.makespan, traced.makespan);
   EXPECT_EQ(plain.finished_count(), traced.finished_count());
@@ -135,7 +140,7 @@ TEST(RecorderTest, PerStepDeltasSumToRunTotals) {
   runtime::ServeOptions options = make_options();
   options.hook = &recorder;
   const auto metrics =
-      harness.serve(runtime::Framework::HybriMoE, make_stream(), options);
+      harness.serve(hybrimoe_stack(), make_stream(), options);
 
   ASSERT_FALSE(recorder.timeline().empty());
   std::size_t transfers = 0, prefetches = 0, maintenance = 0;
@@ -181,7 +186,7 @@ TEST(RecorderTest, TracedTransfersMatchCopyEngineCompletions) {
   runtime::ServeOptions options = make_options();
   options.hook = &recorder;
   const auto metrics =
-      harness.serve(runtime::Framework::HybriMoE, make_stream(6), options);
+      harness.serve(hybrimoe_stack(), make_stream(6), options);
   (void)metrics;
 
   std::vector<std::uint64_t> per_device;
@@ -217,7 +222,7 @@ TEST(RecorderTest, ScenarioDriverStreamsThroughExternalRecorder) {
   runtime::ServeOptions options = make_options();
   options.hook = &driver;
   const auto metrics =
-      harness.serve(runtime::Framework::HybriMoE, make_stream(), options);
+      harness.serve(hybrimoe_stack(), make_stream(), options);
   recorder.write_summary(metrics);
 
   EXPECT_EQ(driver.timeline().size(), recorder.timeline().size());

@@ -14,9 +14,13 @@
 #    equivalence tests pin down), the trace subsystem (src/trace/*.hpp — its
 #    schema and comparator semantics are the regression-gate contract) plus
 #    the device-topology headers (src/hw/topology.hpp, src/sched/device.hpp —
-#    the vocabulary every layer of the stack now speaks), and the SIMD
-#    dispatch header (src/kernels/simd.hpp — its ulp-equivalence and
-#    dispatch-determinism contract is what keeps digests stable).
+#    the vocabulary every layer of the stack now speaks), the engine-facing
+#    API (src/hw/cost_model.hpp, src/sched/plan.hpp, src/runtime/engine.hpp,
+#    src/runtime/session.hpp — the cost queries, plan shape, engine and
+#    experiment runners every bench, example and tool is written against),
+#    and the SIMD dispatch header (src/kernels/simd.hpp — its
+#    ulp-equivalence and dispatch-determinism contract is what keeps
+#    digests stable).
 #
 # 2. Relative links. Every `[text](path)` link in docs/*.md, README.md and
 #    bench/README.md that is not an absolute URL or a pure fragment must
@@ -32,7 +36,7 @@ fail=0
 # ---------------------------------------------------------------------------
 # 1. Doc-comment coverage.
 # ---------------------------------------------------------------------------
-doc_headers="src/exec/*.hpp src/scenario/*.hpp src/serve_sim/*.hpp src/trace/*.hpp src/hw/topology.hpp src/sched/device.hpp src/kernels/simd.hpp"
+doc_headers="src/exec/*.hpp src/scenario/*.hpp src/serve_sim/*.hpp src/trace/*.hpp src/hw/topology.hpp src/hw/cost_model.hpp src/sched/device.hpp src/sched/plan.hpp src/runtime/engine.hpp src/runtime/session.hpp src/kernels/simd.hpp"
 for header in $doc_headers; do
   out=$(awk '
     # Track public sections inside class bodies (structs default public).
