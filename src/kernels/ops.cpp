@@ -25,10 +25,9 @@ std::vector<float> gemv(const Tensor& w, std::span<const float> x) {
 void gemv_into(const Tensor& w, std::span<const float> x, std::span<float> y) {
   HYBRIMOE_REQUIRE(w.cols() == x.size(), "gemv dimension mismatch");
   HYBRIMOE_REQUIRE(w.rows() == y.size(), "gemv output dimension mismatch");
-  // Rows accumulate in double for reproducible small-scale math; simd::dot
-  // keeps that contract in both its scalar and vector variants.
-  for (std::size_t r = 0; r < w.rows(); ++r)
-    y[r] = static_cast<float>(simd::dot(w.row(r), x));
+  // Rows accumulate in double for reproducible small-scale math; each row is
+  // bit-identical to simd::dot over it, in both the scalar and vector variants.
+  simd::gemv(w.flat(), w.rows(), w.cols(), x, y);
 }
 
 Tensor gemm(const Tensor& a, const Tensor& b) {

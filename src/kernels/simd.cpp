@@ -4,6 +4,7 @@
 #include <cmath>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "util/assert.hpp"
 
@@ -140,6 +141,77 @@ HYBRIMOE_AVX2_FN double dot_avx2(const float* a, const float* b, std::size_t n) 
   return acc;
 }
 
+/// Software prefetch distance on a weight stream, in bytes. 4 KiB beat 0.5,
+/// 1 and 2 KiB and tied 8 KiB on a 4-vCPU x86-64 host streaming
+/// Mixtral-shaped experts from DRAM.
+constexpr std::size_t kPrefetchBytes = 4096;
+constexpr std::size_t kPrefetchFloats = kPrefetchBytes / sizeof(float);
+
+/// One gemv row against an x already widened to double (see widen_avx2):
+/// the accumulator layout of dot_avx2, unchanged, so the result is bit-
+/// identical to dot_avx2(row, x, n) — widening x once per matrix instead of
+/// once per row is exact. `ahead` is the number of floats of the weight
+/// stream left from `row`; the stream is prefetched kPrefetchBytes ahead,
+/// never past its end.
+HYBRIMOE_AVX2_FN inline double gemv_row_avx2(const float* row, const double* xd,
+                                             std::size_t n, std::size_t ahead) {
+  __m256d acc0 = _mm256_setzero_pd();
+  __m256d acc1 = _mm256_setzero_pd();
+  __m256d acc2 = _mm256_setzero_pd();
+  __m256d acc3 = _mm256_setzero_pd();
+  std::size_t i = 0;
+  for (; i + 16 <= n; i += 16) {
+    if (i + kPrefetchFloats < ahead)
+      _mm_prefetch(reinterpret_cast<const char*>(row + i + kPrefetchFloats),
+                   _MM_HINT_T0);
+    const __m256 va0 = _mm256_loadu_ps(row + i);
+    const __m256 va1 = _mm256_loadu_ps(row + i + 8);
+    acc0 = _mm256_fmadd_pd(_mm256_cvtps_pd(_mm256_castps256_ps128(va0)),
+                           _mm256_loadu_pd(xd + i), acc0);
+    acc1 = _mm256_fmadd_pd(_mm256_cvtps_pd(_mm256_extractf128_ps(va0, 1)),
+                           _mm256_loadu_pd(xd + i + 4), acc1);
+    acc2 = _mm256_fmadd_pd(_mm256_cvtps_pd(_mm256_castps256_ps128(va1)),
+                           _mm256_loadu_pd(xd + i + 8), acc2);
+    acc3 = _mm256_fmadd_pd(_mm256_cvtps_pd(_mm256_extractf128_ps(va1, 1)),
+                           _mm256_loadu_pd(xd + i + 12), acc3);
+  }
+  for (; i + 8 <= n; i += 8) {
+    const __m256 va = _mm256_loadu_ps(row + i);
+    acc0 = _mm256_fmadd_pd(_mm256_cvtps_pd(_mm256_castps256_ps128(va)),
+                           _mm256_loadu_pd(xd + i), acc0);
+    acc1 = _mm256_fmadd_pd(_mm256_cvtps_pd(_mm256_extractf128_ps(va, 1)),
+                           _mm256_loadu_pd(xd + i + 4), acc1);
+  }
+  double acc = hsum_pd(_mm256_add_pd(_mm256_add_pd(acc0, acc1),
+                                     _mm256_add_pd(acc2, acc3)));
+  for (; i < n; ++i) acc += static_cast<double>(row[i]) * xd[i];
+  return acc;
+}
+
+/// `x` widened to double in a per-thread buffer (float -> double is exact),
+/// valid until the calling thread's next widen. Per-thread, so concurrent
+/// lanes never share it; it grows to the widest x seen and never shrinks.
+HYBRIMOE_AVX2_FN const double* widen_avx2(const float* x, std::size_t n) {
+  thread_local std::vector<double> widened;
+  if (widened.size() < n) widened.resize(n);
+  double* out = widened.data();
+  std::size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    const __m256 v = _mm256_loadu_ps(x + i);
+    _mm256_storeu_pd(out + i, _mm256_cvtps_pd(_mm256_castps256_ps128(v)));
+    _mm256_storeu_pd(out + i + 4, _mm256_cvtps_pd(_mm256_extractf128_ps(v, 1)));
+  }
+  for (; i < n; ++i) out[i] = static_cast<double>(x[i]);
+  return out;
+}
+
+HYBRIMOE_AVX2_FN void gemv_avx2(const float* w, std::size_t rows, std::size_t cols,
+                                const double* xd, float* y) {
+  const std::size_t total = rows * cols;
+  for (std::size_t r = 0; r < rows; ++r)
+    y[r] = static_cast<float>(gemv_row_avx2(w + r * cols, xd, cols, total - r * cols));
+}
+
 /// Cephes-style expf over 8 lanes: 2^k * p(r) with the input clamped to the
 /// finite range of float exp. ~2 ulp over the clamped range.
 HYBRIMOE_AVX2_FN inline __m256 exp256_ps(__m256 x) {
@@ -213,24 +285,31 @@ HYBRIMOE_AVX2_FN void rmsnorm_avx2(float* v, std::size_t n, float eps) {
 }
 
 /// Multiply-accumulate 8 decoded codes (low 8 bytes of `codes8`) against 8
-/// floats at `xp`, widening to double into the two accumulator halves.
-HYBRIMOE_AVX2_FN inline void q4_mac8(__m128i codes8, const float* xp,
+/// widened x values at `xp`, into the two accumulator halves.
+HYBRIMOE_AVX2_FN inline void q4_mac8(__m128i codes8, const double* xp,
                                      __m256d& acc0, __m256d& acc1) {
-  const __m256 f = _mm256_cvtepi32_ps(_mm256_cvtepi8_epi32(codes8));
-  const __m256 xv = _mm256_loadu_ps(xp);
-  acc0 = _mm256_fmadd_pd(_mm256_cvtps_pd(_mm256_castps256_ps128(f)),
-                         _mm256_cvtps_pd(_mm256_castps256_ps128(xv)), acc0);
-  acc1 = _mm256_fmadd_pd(_mm256_cvtps_pd(_mm256_extractf128_ps(f, 1)),
-                         _mm256_cvtps_pd(_mm256_extractf128_ps(xv, 1)), acc1);
+  const __m256i codes = _mm256_cvtepi8_epi32(codes8);
+  acc0 = _mm256_fmadd_pd(_mm256_cvtepi32_pd(_mm256_castsi256_si128(codes)),
+                         _mm256_loadu_pd(xp), acc0);
+  acc1 = _mm256_fmadd_pd(_mm256_cvtepi32_pd(_mm256_extracti128_si256(codes, 1)),
+                         _mm256_loadu_pd(xp + 4), acc1);
 }
 
-HYBRIMOE_AVX2_FN double q4_dot_avx2(const Q4Block* blocks, const float* x,
-                                    std::size_t n) {
+constexpr std::size_t kPrefetchBlocks = kPrefetchBytes / sizeof(Q4Block);
+
+/// One Q4 row against a widened x (see widen_avx2). `ahead` is the number of
+/// blocks of the stream left from `blocks`; it is prefetched kPrefetchBytes
+/// ahead, never past its end.
+HYBRIMOE_AVX2_FN double q4_dot_avx2(const Q4Block* blocks, const double* xd,
+                                    std::size_t n, std::size_t ahead) {
   const __m128i nibble_mask = _mm_set1_epi8(0x0F);
   const __m128i bias = _mm_set1_epi8(8);
   double acc = 0.0;
   const std::size_t num_blocks = (n + Q4Block::kValues - 1) / Q4Block::kValues;
   for (std::size_t b = 0; b < num_blocks; ++b) {
+    if (b + kPrefetchBlocks < ahead)
+      _mm_prefetch(reinterpret_cast<const char*>(blocks + b + kPrefetchBlocks),
+                   _MM_HINT_T0);
     const Q4Block& block = blocks[b];
     const std::size_t base = b * Q4Block::kValues;
     const std::size_t len = std::min(Q4Block::kValues, n - base);
@@ -246,19 +325,29 @@ HYBRIMOE_AVX2_FN double q4_dot_avx2(const Q4Block* blocks, const float* x,
       const __m128i v1 = _mm_sub_epi8(_mm_unpackhi_epi8(lo, hi), bias);
       __m256d acc0 = _mm256_setzero_pd();
       __m256d acc1 = _mm256_setzero_pd();
-      q4_mac8(v0, x + base, acc0, acc1);
-      q4_mac8(_mm_srli_si128(v0, 8), x + base + 8, acc0, acc1);
-      q4_mac8(v1, x + base + 16, acc0, acc1);
-      q4_mac8(_mm_srli_si128(v1, 8), x + base + 24, acc0, acc1);
+      q4_mac8(v0, xd + base, acc0, acc1);
+      q4_mac8(_mm_srli_si128(v0, 8), xd + base + 8, acc0, acc1);
+      q4_mac8(v1, xd + base + 16, acc0, acc1);
+      q4_mac8(_mm_srli_si128(v1, 8), xd + base + 24, acc0, acc1);
       block_acc = hsum_pd(_mm256_add_pd(acc0, acc1));
     } else {
       block_acc = 0.0;
       for (std::size_t i = 0; i < len; ++i)
-        block_acc += static_cast<double>(q4_code(block, i)) * x[base + i];
+        block_acc += static_cast<double>(q4_code(block, i)) * xd[base + i];
     }
     acc += block_acc * block.scale;
   }
   return acc;
+}
+
+HYBRIMOE_AVX2_FN void q4_gemv_avx2(const Q4Block* blocks, std::size_t rows,
+                                   std::size_t blocks_per_row, const double* xd,
+                                   std::size_t n, float* y) {
+  const std::size_t total = rows * blocks_per_row;
+  for (std::size_t r = 0; r < rows; ++r) {
+    const std::size_t offset = r * blocks_per_row;
+    y[r] = static_cast<float>(q4_dot_avx2(blocks + offset, xd, n, total - offset));
+  }
 }
 
 #endif  // HYBRIMOE_SIMD_AVX2
@@ -310,6 +399,21 @@ double dot(std::span<const float> a, std::span<const float> b) {
   return dot_scalar(a.data(), b.data(), a.size());
 }
 
+void gemv(std::span<const float> w, std::size_t rows, std::size_t cols,
+          std::span<const float> x, std::span<float> y) {
+  HYBRIMOE_REQUIRE(w.size() == rows * cols, "simd::gemv matrix size mismatch");
+  HYBRIMOE_REQUIRE(x.size() == cols, "simd::gemv input length mismatch");
+  HYBRIMOE_REQUIRE(y.size() == rows, "simd::gemv output length mismatch");
+#if HYBRIMOE_SIMD_AVX2
+  if (active_level() == IsaLevel::Avx2) {
+    gemv_avx2(w.data(), rows, cols, widen_avx2(x.data(), cols), y.data());
+    return;
+  }
+#endif
+  for (std::size_t r = 0; r < rows; ++r)
+    y[r] = static_cast<float>(dot_scalar(w.data() + r * cols, x.data(), cols));
+}
+
 void silu(std::span<float> values) {
 #if HYBRIMOE_SIMD_AVX2
   if (active_level() == IsaLevel::Avx2) {
@@ -348,9 +452,30 @@ double q4_dot(std::span<const Q4Block> blocks, std::span<const float> x) {
                    "simd::q4_dot: not enough blocks");
 #if HYBRIMOE_SIMD_AVX2
   if (active_level() == IsaLevel::Avx2)
-    return q4_dot_avx2(blocks.data(), x.data(), x.size());
+    return q4_dot_avx2(blocks.data(), widen_avx2(x.data(), x.size()), x.size(),
+                       blocks.size());
 #endif
   return q4_dot_scalar(blocks.data(), x.data(), x.size());
+}
+
+void q4_gemv(std::span<const Q4Block> blocks, std::size_t rows,
+             std::size_t blocks_per_row, std::span<const float> x,
+             std::span<float> y) {
+  HYBRIMOE_REQUIRE(blocks.size() == rows * blocks_per_row,
+                   "simd::q4_gemv matrix size mismatch");
+  HYBRIMOE_REQUIRE(blocks_per_row * Q4Block::kValues >= x.size(),
+                   "simd::q4_gemv: not enough blocks per row");
+  HYBRIMOE_REQUIRE(y.size() == rows, "simd::q4_gemv output length mismatch");
+#if HYBRIMOE_SIMD_AVX2
+  if (active_level() == IsaLevel::Avx2) {
+    q4_gemv_avx2(blocks.data(), rows, blocks_per_row, widen_avx2(x.data(), x.size()),
+                 x.size(), y.data());
+    return;
+  }
+#endif
+  for (std::size_t r = 0; r < rows; ++r)
+    y[r] = static_cast<float>(
+        q4_dot_scalar(blocks.data() + r * blocks_per_row, x.data(), x.size()));
 }
 
 }  // namespace hybrimoe::kernels::simd

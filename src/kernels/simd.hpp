@@ -20,6 +20,11 @@
 ///    association differs — a few ulp after the final rounding to float;
 ///  * silu / swiglu: the AVX2 exp polynomial is accurate to ~2 ulp over the
 ///    clamped range [-87.3, 88.7], so outputs agree to ~1e-6 relative.
+///
+/// Row contract: at either level, every output of gemv / q4_gemv is bit for
+/// bit float(dot(row, x)) / float(q4_dot(row blocks, x)) at that same level —
+/// the matrix forms only batch the rows (see their docs). Trace synthesis
+/// routes on the gate gemv, so a one-ulp drift here would move every golden.
 
 #include <cstddef>
 #include <cstdint>
@@ -77,6 +82,16 @@ class ForcedLevel {
 /// reproducible-small-scale-math convention of ops::gemv). Dispatched.
 [[nodiscard]] double dot(std::span<const float> a, std::span<const float> b);
 
+/// y[r] = float(dot(row r of w, x)) for a row-major `rows` x `cols` fp32
+/// matrix `w`; x has `cols` entries and y `rows`. Bit-identical per row to
+/// dot() at the same level. The AVX2 variant widens x to double once per
+/// call, into a per-thread buffer (float -> double is exact), walks the rows
+/// with dot's accumulator layout and prefetches the weight stream a fixed
+/// 4 KiB ahead, never past the end of `w`. The scalar variant is per-row
+/// dot. Dispatched.
+void gemv(std::span<const float> w, std::size_t rows, std::size_t cols,
+          std::span<const float> x, std::span<float> y);
+
 /// In-place SiLU: v <- v / (1 + exp(-v)). Dispatched.
 void silu(std::span<float> values);
 
@@ -96,5 +111,14 @@ void rmsnorm(std::span<float> values, float eps);
 /// Dispatched.
 [[nodiscard]] double q4_dot(std::span<const Q4Block> blocks,
                             std::span<const float> x);
+
+/// y[r] = float(q4_dot(row r's blocks, x)) for a row-major Q4 matrix of
+/// `rows` rows, each `blocks_per_row` blocks covering at least x.size()
+/// values. Bit-identical per row to q4_dot() at the same level; the AVX2
+/// variant widens x once per call into gemv's per-thread buffer and
+/// prefetches the block stream 4 KiB ahead, never past its end. Dispatched.
+void q4_gemv(std::span<const Q4Block> blocks, std::size_t rows,
+             std::size_t blocks_per_row, std::span<const float> x,
+             std::span<float> y);
 
 }  // namespace hybrimoe::kernels::simd

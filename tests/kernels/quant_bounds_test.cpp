@@ -3,7 +3,8 @@
 /// q4_error_bound* of the dense ops::gemv over the original weights, and must
 /// match the gemv over its own dequantized weights to float-roundoff
 /// accuracy. Round-trip accuracy is pinned at the block-boundary widths
-/// 31/32/33 where padding and tail handling change shape.
+/// 31/32/33 where padding and tail handling change shape, and there the
+/// matrix gemv must also be bit-identical to per-row q4_dot at each level.
 
 #include "kernels/quant.hpp"
 
@@ -11,6 +12,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <vector>
 
 #include "kernels/ops.hpp"
@@ -110,6 +112,29 @@ TEST(QuantGemvBoundTest, GemvIntoEqualsGemv) {
   q.gemv_into(x, preallocated);
   for (std::size_t i = 0; i < 6; ++i)
     EXPECT_EQ(allocated[i], preallocated[i]) << "index " << i;
+}
+
+TEST(QuantGemvBoundTest, BitIdenticalToPerRowQ4DotAtBlockBoundaries) {
+  // 300 rows of one or two 20-byte blocks stream past the 4 KiB prefetch
+  // distance, so the prefetching AVX2 path is exercised up to the matrix end.
+  for (const std::size_t cols : {std::size_t{31}, std::size_t{32}, std::size_t{33}}) {
+    for (const std::size_t rows : {std::size_t{1}, std::size_t{7}, std::size_t{300}}) {
+      util::Rng rng(50 + cols + rows);
+      const auto q = QuantizedMatrix::quantize(Tensor::randn(rng, rows, cols));
+      const auto x = random_vector(rng, cols);
+      for (const auto level : {simd::IsaLevel::Scalar, simd::IsaLevel::Avx2}) {
+        if (!simd::level_available(level)) continue;
+        simd::ForcedLevel pin(level);
+        std::vector<float> expected(rows);
+        for (std::size_t r = 0; r < rows; ++r)
+          expected[r] = static_cast<float>(simd::q4_dot(q.row_blocks(r), x));
+        std::vector<float> got(rows);
+        q.gemv_into(x, got);
+        EXPECT_EQ(std::memcmp(got.data(), expected.data(), rows * sizeof(float)), 0)
+            << rows << "x" << cols << " at level " << simd::to_string(level);
+      }
+    }
+  }
 }
 
 TEST(QuantRoundTripBoundaryTest, Widths31And32And33) {

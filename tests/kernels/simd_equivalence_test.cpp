@@ -5,19 +5,27 @@
 /// denormal / negative-zero inputs. Both dispatch levels are exercised via
 /// ForcedLevel; when the host lacks AVX2 the comparison cases skip (the
 /// scalar path is then the only variant and is covered by ops/quant tests).
+/// The matrix form `gemv` is held to a stricter contract: at each level every
+/// output float is bit-identical to `dot` over its row.
 
 #include "kernels/simd.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <limits>
+#include <numeric>
 #include <span>
+#include <utility>
 #include <vector>
 
+#include "kernels/ops.hpp"
 #include "kernels/quant.hpp"
+#include "kernels/tensor.hpp"
 #include "util/rng.hpp"
 
 namespace hybrimoe::kernels::simd {
@@ -59,6 +67,42 @@ std::vector<float> make_values(std::size_t n, std::uint64_t seed) {
   for (std::size_t i = 0; i < n; ++i)
     v[i] = static_cast<float>(rng.gaussian(0.0, 1.0 + static_cast<double>(i % 5)));
   return v;
+}
+
+/// A gemv case whose rows cancel: x holds signed powers of two and each row
+/// hides up to four pairs of huge products (+-2^30..2^60) that cancel
+/// exactly, on top of unit-scale values. Any change in how a row's dot is
+/// associated then moves the result by far more than a float ulp — with
+/// unit-scale data alone it would hide in the low bits of the double.
+struct CancellingCase {
+  std::vector<float> w, x;
+};
+
+CancellingCase make_cancelling(std::size_t rows, std::size_t cols, std::uint64_t seed) {
+  util::Rng rng(seed);
+  CancellingCase c;
+  c.x.resize(cols);
+  for (float& v : c.x)
+    v = std::ldexp(rng.bernoulli(0.5) ? 1.0f : -1.0f,
+                   static_cast<int>(rng.uniform_index(7)) - 3);
+  c.w.resize(rows * cols);
+  for (float& v : c.w) v = static_cast<float>(rng.gaussian());
+  std::vector<std::size_t> cols_order(cols);
+  for (std::size_t r = 0; r < rows; ++r) {
+    float* row = c.w.data() + r * cols;
+    std::iota(cols_order.begin(), cols_order.end(), std::size_t{0});
+    for (std::size_t k = cols; k > 1; --k)
+      std::swap(cols_order[k - 1], cols_order[rng.uniform_index(k)]);
+    for (std::size_t p = 0; p + 1 < cols && p < 8; p += 2) {
+      const std::size_t i = cols_order[p], j = cols_order[p + 1];
+      const float mantissa = 1.0f + static_cast<float>(rng.uniform_index(256)) / 256.0f;
+      const float product =
+          std::ldexp(mantissa, 30 + static_cast<int>(rng.uniform_index(31)));
+      row[i] = product / c.x[i];
+      row[j] = -product / c.x[j];
+    }
+  }
+  return c;
 }
 
 /// An unaligned view: one float past the vector's (typically 16/32-byte
@@ -331,6 +375,136 @@ TEST(SimdEdgeInputTest, RmsnormOfDenormalsStaysFinite) {
   for (std::size_t i = 0; i < simd_vals.size(); ++i) {
     EXPECT_TRUE(std::isfinite(simd_vals[i]));
     expect_close(scalar_vals[i], simd_vals[i], 4, 1e-9, "rmsnorm-denormal", i);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// gemv: bit-identical to a loop of dot over the rows, at every level.
+
+/// Levels this host can run (Scalar always, Avx2 when detected).
+std::vector<IsaLevel> host_levels() {
+  std::vector<IsaLevel> levels{IsaLevel::Scalar};
+  if (avx2_available()) levels.push_back(IsaLevel::Avx2);
+  return levels;
+}
+
+/// The per-row reference: float(dot(row, x)) for every row at the active level.
+std::vector<float> gemv_by_rows(std::span<const float> w, std::size_t rows,
+                                std::span<const float> x) {
+  std::vector<float> y(rows);
+  for (std::size_t r = 0; r < rows; ++r)
+    y[r] = static_cast<float>(dot(w.subspan(r * x.size(), x.size()), x));
+  return y;
+}
+
+/// At every host level, gemv(w, x) must equal gemv_by_rows bit for bit.
+void expect_gemv_bitwise(std::span<const float> w, std::size_t rows,
+                         std::span<const float> x) {
+  for (const IsaLevel level : host_levels()) {
+    ForcedLevel pin(level);
+    const auto expected = gemv_by_rows(w, rows, x);
+    std::vector<float> got(rows, std::numeric_limits<float>::quiet_NaN());
+    gemv(w, rows, x.size(), x, got);
+    EXPECT_EQ(std::memcmp(got.data(), expected.data(), rows * sizeof(float)), 0)
+        << rows << "x" << x.size() << " at level " << to_string(level);
+  }
+}
+
+class SimdGemvColsTest : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(SimdGemvColsTest, RowsAreBitIdenticalToDot) {
+  const std::size_t cols = GetParam();
+  const auto x = make_values(cols, 900 + cols);
+  for (const std::size_t rows : {std::size_t{1}, std::size_t{3}, std::size_t{64},
+                                 std::size_t{128}, std::size_t{512}}) {
+    expect_gemv_bitwise(make_values(rows * cols, 1000 + rows * 7 + cols), rows, x);
+    const auto c = make_cancelling(rows, cols, 1050 + rows * 7 + cols);
+    expect_gemv_bitwise(c.w, rows, c.x);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Cols1To67AndWide, SimdGemvColsTest,
+                         ::testing::Values(1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13,
+                                           14, 15, 16, 17, 18, 19, 20, 21, 22, 23, 24,
+                                           25, 26, 27, 28, 29, 30, 31, 32, 33, 34, 35,
+                                           36, 37, 38, 39, 40, 41, 42, 43, 44, 45, 46,
+                                           47, 48, 49, 50, 51, 52, 53, 54, 55, 56, 57,
+                                           58, 59, 60, 61, 62, 63, 64, 65, 66, 67, 128,
+                                           512, 1024));
+
+TEST(SimdGemvTest, MatricesAroundThePrefetchDistance) {
+  // The AVX2 variant prefetches 4 KiB (1024 floats) ahead and must stop at
+  // the matrix end: below that size no prefetch is issued, at exactly that
+  // size the first candidate address is one past the end, and 300-float rows
+  // straddle the 1024-float mark (row 3 spans floats 900..1199).
+  struct Shape {
+    std::size_t rows, cols;
+  };
+  for (const Shape s : {Shape{4, 64}, Shape{8, 128}, Shape{1, 1024}, Shape{5, 300},
+                        Shape{7, 1000}, Shape{3, 1040}}) {
+    const auto c = make_cancelling(s.rows, s.cols, 1100 + s.rows + s.cols);
+    expect_gemv_bitwise(c.w, s.rows, c.x);
+  }
+}
+
+TEST(SimdGemvTest, UnalignedInputSubspan) {
+  const std::size_t rows = 9, cols = 53;
+  const auto c = make_cancelling(rows, cols, 44);
+  const auto& values = c.x;
+  const auto& w_values = c.w;
+  std::vector<float> storage;
+  const auto x = unaligned(storage, cols);
+  std::copy(values.begin(), values.end(), x.begin());
+  std::vector<float> w_storage;
+  const auto w = unaligned(w_storage, rows * cols);
+  std::copy(w_values.begin(), w_values.end(), w.begin());
+  expect_gemv_bitwise(w, rows, x);
+  // And the unaligned result equals the aligned one.
+  for (const IsaLevel level : host_levels()) {
+    ForcedLevel pin(level);
+    std::vector<float> aligned_y(rows), unaligned_y(rows);
+    gemv(w_values, rows, cols, values, aligned_y);
+    gemv(w, rows, cols, x, unaligned_y);
+    EXPECT_EQ(std::memcmp(aligned_y.data(), unaligned_y.data(), rows * sizeof(float)), 0)
+        << "level " << to_string(level);
+  }
+}
+
+TEST(SimdGemvTest, DenormalsAndSignedZeros) {
+  const auto edges = edge_values();
+  const std::size_t cols = edges.size();
+  // Rows: the edge values themselves, their negation, all -0.0, and a mix
+  // scaled into the denormal range — against x = edges and x = all ones.
+  std::vector<float> w;
+  for (const float v : edges) w.push_back(v);
+  for (const float v : edges) w.push_back(-v);
+  for (std::size_t i = 0; i < cols; ++i) w.push_back(-0.0f);
+  for (std::size_t i = 0; i < cols; ++i)
+    w.push_back(std::numeric_limits<float>::denorm_min() * static_cast<float>(i));
+  const std::size_t rows = w.size() / cols;
+  expect_gemv_bitwise(w, rows, edges);
+  const std::vector<float> ones(cols, 1.0f);
+  expect_gemv_bitwise(w, rows, ones);
+  const std::vector<float> neg_zeros(cols, -0.0f);
+  expect_gemv_bitwise(w, rows, neg_zeros);
+}
+
+TEST(SimdGemvTest, GemvIntoEqualsPerRowComposition) {
+  for (const std::size_t cols : {std::size_t{32}, std::size_t{77}, std::size_t{512}}) {
+    const auto c = make_cancelling(128, cols, 47 + cols);
+    Tensor t(128, cols);
+    std::copy(c.w.begin(), c.w.end(), t.flat().begin());
+    const auto& x = c.x;
+    for (const IsaLevel level : host_levels()) {
+      ForcedLevel pin(level);
+      std::vector<float> expected(t.rows());
+      for (std::size_t r = 0; r < t.rows(); ++r)
+        expected[r] = static_cast<float>(dot(t.row(r), x));
+      std::vector<float> got(t.rows());
+      gemv_into(t, x, got);
+      EXPECT_EQ(std::memcmp(got.data(), expected.data(), got.size() * sizeof(float)), 0)
+          << "cols " << cols << " at level " << to_string(level);
+    }
   }
 }
 
