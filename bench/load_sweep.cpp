@@ -39,7 +39,7 @@ namespace {
 
 using hybrimoe::runtime::ServeMetrics;
 
-/// TBT SLO for goodput, matching bench_serving_load's bound.
+/// TBT SLO for goodput, matching hybrimoe_run's default --slo.
 constexpr double kTbtSlo = 0.100;  // seconds
 
 /// Offered-load levels (requests/second): under-saturated, near-saturated,
@@ -58,8 +58,9 @@ constexpr std::size_t kKvBudgetTokens = 6 * (48 + 12);
 /// Per-cell Poisson request count, overridable for CI smoke runs.
 std::size_t poisson_requests_per_cell() {
   if (const char* env = std::getenv("HYBRIMOE_LOAD_SWEEP_REQUESTS")) {
-    const long n = std::strtol(env, nullptr, 10);
-    if (n > 0) return static_cast<std::size_t>(n);
+    char* end = nullptr;
+    const long n = std::strtol(env, &end, 10);
+    if (n > 0 && *end == '\0') return static_cast<std::size_t>(n);
     std::cerr << "ignoring invalid HYBRIMOE_LOAD_SWEEP_REQUESTS='" << env << "'\n";
   }
   return kPoissonRequestsPerCell;

@@ -7,10 +7,10 @@
 /// budget. Topology is the one hardware description the cost model, the
 /// schedulers and the engine consume. MachineProfile (one CPU + one GPU +
 /// PCIe link) remains as a compact way to write down and calibrate a
-/// one-accelerator machine; Topology::from_machine upgrades it losslessly,
-/// and every scheduler metric is bit-identical between the two — the
-/// equivalence the preset tests pin down. Time queries over a (topology,
-/// model) pair live in cost_model.hpp.
+/// one-accelerator machine; Topology::from_machine upgrades it losslessly:
+/// CostModel(MachineProfile, ...) is CostModel(Topology::from_machine(...),
+/// ...), so every scheduler metric is the same for both. Time queries over
+/// a (topology, model) pair live in cost_model.hpp.
 
 #include <cstddef>
 #include <string>
@@ -70,6 +70,7 @@ struct MachineProfile {
   /// The paper's testbed: RTX A6000 (PCIe 4.0 x16) + Xeon Gold 5220R capped
   /// at 10 cores. Throughputs are sustained figures for 4-bit kernels, not
   /// peak datasheet numbers.
+  /// Benchmark-pinned surface: bench/e2e calls it, so its signature stays.
   [[nodiscard]] static MachineProfile a6000_xeon10();
   /// A smaller edge box (laptop dGPU + 8-core mobile CPU) for scaling studies.
   [[nodiscard]] static MachineProfile laptop_edge();

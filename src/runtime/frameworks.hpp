@@ -98,6 +98,7 @@ struct EngineBuildInfo {
 /// \brief The canonical declarative spec of a framework preset — the exact
 /// component set the closed factory used to hard-code. Mutate the result to
 /// explore off-preset stacks.
+/// Benchmark-pinned surface: bench/e2e calls it, so its signature stays.
 [[nodiscard]] StackSpec preset_spec(Framework framework);
 
 /// \brief preset_spec by name (framework_from_name rules).

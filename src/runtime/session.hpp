@@ -32,6 +32,7 @@ namespace hybrimoe::runtime {
 /// Full description of one experimental setting.
 struct ExperimentSpec {
   moe::ModelConfig model;
+  /// Benchmark-pinned surface: bench/e2e sets it, so the field stays.
   hw::MachineProfile machine = hw::MachineProfile::a6000_xeon10();
   /// Multi-device complement; when set it overrides `machine` as the cost
   /// model's hardware description (machine stays as the legacy single-pair

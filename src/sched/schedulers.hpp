@@ -30,6 +30,7 @@ class LayerScheduler {
   /// layers on every link; `link_busy` optionally carries per-link values
   /// (one entry per accelerator of the cost model's topology) and overrides
   /// the scalar when non-empty.
+  /// Benchmark-pinned surface: bench/e2e overrides it; `pcie_busy_until` stays.
   [[nodiscard]] virtual LayerPlan schedule(std::uint16_t layer, Stage stage,
                                            std::span<const ExpertDemand> demands,
                                            const hw::CostModel& costs,

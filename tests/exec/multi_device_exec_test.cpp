@@ -1,17 +1,22 @@
 /// \file multi_device_exec_test.cpp
 /// Threaded execution of N-device plans: per-device GPU lanes and per-link
 /// copy engines must reproduce the single-threaded reference outputs
-/// bitwise, at any worker count, with transfer gating honored on every link.
+/// bitwise, at any worker count, with transfer gating honored on every link;
+/// a dual-accelerator engine must report the same digest and modeled
+/// metrics whether its executor runs simulated or threaded.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "exec/executor.hpp"
 #include "hw/topology.hpp"
 #include "moe/model_config.hpp"
+#include "runtime/frameworks.hpp"
 #include "sched/simulator.hpp"
+#include "workload/generator.hpp"
 
 namespace hybrimoe::exec {
 namespace {
@@ -161,3 +166,71 @@ TEST(MultiDeviceExecutor, RepeatedLayersStayDeterministic) {
 
 }  // namespace
 }  // namespace hybrimoe::exec
+
+namespace hybrimoe::runtime {
+namespace {
+
+#if defined(HYBRIMOE_TEST_TSAN)
+constexpr double kExecScale = 3e-3;
+#else
+constexpr double kExecScale = 3e-4;
+#endif
+
+/// A tiny-model engine fixture: a fixed warmup histogram and one seeded
+/// decode trace.
+class MultiDeviceEngineTest : public ::testing::Test {
+ protected:
+  MultiDeviceEngineTest() : model_(moe::ModelConfig::tiny(4, 8, 2)) {
+    info_.cache_ratio = 0.25;
+    info_.seed = 17;
+    info_.warmup_frequencies.assign(model_.num_layers,
+                                    std::vector<double>(model_.num_routed_experts));
+    for (std::size_t l = 0; l < info_.warmup_frequencies.size(); ++l)
+      for (std::size_t e = 0; e < info_.warmup_frequencies[l].size(); ++e)
+        info_.warmup_frequencies[l][e] = static_cast<double>((e * 7 + l) % 11);
+
+    workload::TraceGenParams params;
+    params.seed = 29;
+    workload::TraceGenerator gen(model_, params);
+    decode_ = std::make_unique<workload::DecodeTrace>(gen.generate_decode(12));
+  }
+
+  moe::ModelConfig model_;
+  EngineBuildInfo info_;
+  std::unique_ptr<workload::DecodeTrace> decode_;
+};
+
+TEST_F(MultiDeviceEngineTest, MultiDeviceEngineDigestsMatchAcrossExecutionModes) {
+  // Dual-accelerator engine, simulated-with-executor vs threaded: the device
+  // assignment moves computation across lanes but must never change the
+  // result (the digest) or any modeled metric.
+  const hw::CostModel dual_costs(
+      hw::Topology::replicated(hw::MachineProfile::unit_test_machine(), 2), model_);
+  StackSpec spec = preset_spec(Framework::HybriMoE);
+
+  exec::ExecOptions options;
+  options.workers = 2;
+  options.time_scale = kExecScale;
+
+  EngineBuildInfo simulated = info_;
+  simulated.execution_mode = exec::ExecutionMode::Simulated;
+  simulated.executor = std::make_shared<exec::HybridExecutor>(options);
+  auto sim_engine = make_engine(spec, dual_costs, simulated);
+  EXPECT_EQ(sim_engine->num_devices(), 2u);
+  const auto sim_metrics = sim_engine->run_decode(*decode_);
+
+  EngineBuildInfo threaded = info_;
+  threaded.execution_mode = exec::ExecutionMode::Threaded;
+  threaded.executor = std::make_shared<exec::HybridExecutor>(options);
+  auto thr_engine = make_engine(spec, dual_costs, threaded);
+  const auto thr_metrics = thr_engine->run_decode(*decode_);
+
+  EXPECT_NE(sim_metrics.exec_digest, 0U);
+  EXPECT_EQ(sim_metrics.exec_digest, thr_metrics.exec_digest);
+  EXPECT_EQ(sim_metrics.total_latency, thr_metrics.total_latency);
+  EXPECT_EQ(sim_metrics.per_forward, thr_metrics.per_forward);
+  EXPECT_GT(thr_metrics.measured_latency, 0.0);
+}
+
+}  // namespace
+}  // namespace hybrimoe::runtime

@@ -5,6 +5,7 @@
 #include "cache/classic_policies.hpp"
 #include "cache/mrs_policy.hpp"
 #include "runtime/session.hpp"
+#include "workload/request_stream.hpp"
 
 /// The paper-shape regression suite: the qualitative results of the
 /// evaluation section, asserted end-to-end with reduced step counts. If one
@@ -214,6 +215,40 @@ TEST(PaperShapesTest, NoSingleBaselineWinsEverywhere) {
     winners.insert(winner);
   }
   EXPECT_GE(winners.size(), 2U);  // at least two distinct winners
+}
+
+// --- Serving under load ----------------------------------------------------
+
+TEST(PaperShapesTest, HybriMoEStepMakespanNeverExceedsOnDemandUnderLoad) {
+  // The Fig. 1(a) on-demand baseline as a serving floor: on the same
+  // request stream, HybriMoE's mean composed-step makespan must never
+  // exceed OnDemand's at any arrival rate.
+  ExperimentSpec spec;
+  spec.model = moe::ModelConfig::deepseek();
+  spec.machine = hw::MachineProfile::a6000_xeon10();
+  spec.cache_ratio = 0.25;
+  spec.trace.seed = 20250408;
+  ExperimentHarness harness(spec);
+
+  workload::RequestStreamParams stream;
+  stream.num_requests = 12;
+  stream.prompt_tokens_min = 16;
+  stream.prompt_tokens_max = 48;
+  stream.decode_tokens_min = 6;
+  stream.decode_tokens_max = 12;
+  stream.seed = 20250408;
+  for (const double rate : {0.5, 1.0, 2.0}) {
+    stream.arrival_rate = rate;
+    // Traces are stack-independent: materialise once, serve copies.
+    const auto requests = harness.materialize(workload::generate_request_stream(stream));
+    const auto mean_step_makespan = [&](Framework framework) {
+      const ServeMetrics m = harness.serve(preset_spec(framework), requests);
+      return m.steps.total_latency / static_cast<double>(m.steps.per_forward.size());
+    };
+    EXPECT_LE(mean_step_makespan(Framework::HybriMoE),
+              mean_step_makespan(Framework::OnDemand))
+        << rate << " req/s";
+  }
 }
 
 }  // namespace

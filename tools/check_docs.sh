@@ -11,7 +11,7 @@
 #    are user-facing configuration; an undocumented knob is an unusable one),
 #    the discrete-event serving core (src/serve_sim/*.hpp — its event
 #    ordering and KV-accounting invariants are the bit-identity contract the
-#    equivalence tests pin down), the trace subsystem (src/trace/*.hpp — its
+#    serving goldens pin down), the trace subsystem (src/trace/*.hpp — its
 #    schema and comparator semantics are the regression-gate contract) plus
 #    the device-topology headers (src/hw/topology.hpp, src/sched/device.hpp —
 #    the vocabulary every layer of the stack now speaks), the engine-facing

@@ -165,9 +165,13 @@ Options parse_options(int argc, char** argv) {
       return std::stod(s, n);
     });
   };
-  auto to_count = [&](const char* flag, const std::string& v) -> std::size_t {
+  // std::stoull accepts a sign and wraps "-3" to a huge count, so a '-'
+  // anywhere in the value is rejected first.
+  auto to_count = [&](const char* flag, const std::string& v) -> std::uint64_t {
+    if (v.find('-') != std::string::npos)
+      usage_error(std::string(flag) + " must be non-negative, got '" + v + "'");
     return numeric(flag, v, [](const std::string& s, std::size_t* n) {
-      return std::stoul(s, n);
+      return std::stoull(s, n);
     });
   };
   for (int i = 1; i < argc; ++i) {
@@ -200,10 +204,7 @@ Options parse_options(int argc, char** argv) {
     } else if (arg == "--rate") {
       opts.rate = to_double("--rate", next(i, "--rate"));
     } else if (arg == "--seed") {
-      opts.seed = numeric("--seed", next(i, "--seed"),
-                          [](const std::string& s, std::size_t* n) {
-                            return std::stoull(s, n);
-                          });
+      opts.seed = to_count("--seed", next(i, "--seed"));
     } else if (arg == "--max-batch") {
       opts.max_batch = to_count("--max-batch", next(i, "--max-batch"));
     } else if (arg == "--chunk") {
