@@ -162,7 +162,7 @@ int main() {
         options.transfer_only_if_beneficial = check;
         runtime::EngineComponents c;
         c.name = check ? "checked" : "naive";
-        c.scheduler = std::make_unique<sched::HybridScheduler>(options);
+        c.scheduler = std::make_unique<sched::SimScheduler>(sched::SimScheduler::hybrid(options));
         c.caches.push_back(std::make_unique<cache::ExpertCache>(
             cache::ExpertCache::capacity_for_ratio(m, kRatio),
             std::make_unique<cache::MrsPolicy>()));

@@ -63,7 +63,8 @@ class ImpactDrivenPrefetcher final : public Prefetcher {
 
   ImpactDrivenPrefetcher();  // default parameters, hybrid impact options
   /// `impact_options` are the simulation options of the scheduler the
-  /// prefetches will eventually benefit (usually HybridScheduler's).
+  /// prefetches will eventually benefit (usually
+  /// SimScheduler::hybrid().impact_options()).
   ImpactDrivenPrefetcher(Params params, sched::SimOptions impact_options);
 
   [[nodiscard]] std::string name() const override { return "impact-driven"; }

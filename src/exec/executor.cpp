@@ -58,7 +58,6 @@ struct HybridExecutor::LayerBoard {
   const sched::LayerPlan* plan = nullptr; ///< the plan being executed
   std::span<const float> input;           ///< layer input (stable in the store)
   std::vector<std::vector<float>> slots;  ///< per plan-task expert outputs
-  bool compute = true;
 };
 
 HybridExecutor::HybridExecutor(ExecOptions options)
@@ -165,12 +164,10 @@ void HybridExecutor::run_cpu_chain(const std::shared_ptr<LayerBoard>& board,
   // thread is (or will be) blocked on cpu_remaining, and the error is
   // surfaced via ThreadPool::rethrow_pending_error at the layer barrier.
   std::exception_ptr error;
-  if (board->compute) {
-    try {
-      board->slots[task.idx] = store_.forward(task.id, board->input);
-    } catch (...) {
-      error = std::current_exception();
-    }
+  try {
+    board->slots[task.idx] = store_.forward(task.id, board->input);
+  } catch (...) {
+    error = std::current_exception();
   }
   if (paced_) sleep_until_paced(t0 + task.dur);
   {
@@ -214,7 +211,6 @@ LayerResult HybridExecutor::execute_layer_reference(const sched::LayerPlan& plan
   HYBRIMOE_REQUIRE(!plan.tasks.empty(), "cannot execute an empty plan");
   LayerResult result;
   ++step_.layers;
-  if (!options_.compute_experts) return result;
   const auto input = store_.layer_input(plan.layer);
   std::vector<std::vector<float>> slots(plan.tasks.size());
   for (std::size_t i = 0; i < plan.tasks.size(); ++i)
@@ -223,41 +219,24 @@ LayerResult HybridExecutor::execute_layer_reference(const sched::LayerPlan& plan
   return result;
 }
 
-void HybridExecutor::run_gpu_lane(const std::shared_ptr<LayerBoard>& board,
-                                  std::vector<std::size_t> order,
+void HybridExecutor::run_gpu_lane(LayerBoard& board, std::span<const std::size_t> order,
                                   double dense_seconds) {
-  const auto& tasks = board->plan->tasks;
+  const auto& tasks = board.plan->tasks;
   const double scale = options_.time_scale;
-  // Publish lane completion even if a kernel throws — the engine thread is
-  // blocked on lanes_remaining; the error surfaces at the lane's
-  // rethrow_pending_error (end_step).
-  std::exception_ptr error;
   if (paced_) {
     const auto t0 = PaceClock::now();
     sleep_until_paced(t0 + scaled_duration(dense_seconds, scale));
   }
   for (const std::size_t i : order) {
     if (tasks[i].transferred) {
-      std::unique_lock lock(board->m);
-      board->cv.wait(lock, [&board, i] { return board->done[i] != 0; });
+      std::unique_lock lock(board.m);
+      board.cv.wait(lock, [&board, i] { return board.done[i] != 0; });
     }
     const auto t0 = PaceClock::now();
-    if (board->compute && !error) {
-      try {
-        board->slots[i] = store_.forward(tasks[i].expert, board->input);
-      } catch (...) {
-        error = std::current_exception();
-      }
-    }
+    board.slots[i] = store_.forward(tasks[i].expert, board.input);
     if (paced_)
       sleep_until_paced(t0 + scaled_duration(tasks[i].end - tasks[i].start, scale));
   }
-  {
-    std::lock_guard lock(board->m);
-    --board->lanes_remaining;
-    board->cv.notify_all();
-  }
-  if (error) std::rethrow_exception(error);  // recorded by the lane's loop
 }
 
 LayerResult HybridExecutor::execute_layer(const sched::LayerPlan& plan, double overhead,
@@ -281,15 +260,13 @@ LayerResult HybridExecutor::execute_layer(const sched::LayerPlan& plan, double o
 
   // Materialize weights on the engine thread up front: workers then hit the
   // store's shared-lock fast path only.
-  if (options_.compute_experts)
-    for (const auto& t : tasks) (void)store_.weights(t.expert);
+  for (const auto& t : tasks) (void)store_.weights(t.expert);
 
   auto board = std::make_shared<LayerBoard>();
   board->done.assign(tasks.size(), 0);
   board->slots.resize(tasks.size());
   board->plan = &plan;
   board->input = store_.layer_input(plan.layer);
-  board->compute = options_.compute_experts;
   for (const std::size_t i : plan.device_order(sched::kCpuDevice))
     board->cpu.push_back({i, tasks[i].expert,
                           scaled_duration(tasks[i].end - tasks[i].start, scale)});
@@ -325,12 +302,10 @@ LayerResult HybridExecutor::execute_layer(const sched::LayerPlan& plan, double o
             // on done[idx]; the error surfaces via rethrow_pending_error at
             // step end.
             std::exception_ptr error;
-            if (options_.copy_weight_blobs) {
-              try {
-                copy_blob(id, *scratch);
-              } catch (...) {
-                error = std::current_exception();
-              }
+            try {
+              copy_blob(id, *scratch);
+            } catch (...) {
+              error = std::current_exception();
             }
             if (paced_) sleep_until_paced(t0 + dur);
             {
@@ -347,7 +322,7 @@ LayerResult HybridExecutor::execute_layer(const sched::LayerPlan& plan, double o
     copiers_[c.link]->submit(
         [this, id = c.id, dur, scratch = copy_scratch_[c.link].get()] {
           const auto t0 = PaceClock::now();
-          if (options_.copy_weight_blobs) copy_blob(id, *scratch);
+          copy_blob(id, *scratch);
           if (paced_) sleep_until_paced(t0 + dur);
         });
   }
@@ -368,28 +343,27 @@ LayerResult HybridExecutor::execute_layer(const sched::LayerPlan& plan, double o
       ++board->lanes_remaining;
     }
     gpu_lanes_[accel - 1]->submit(
-        [this, board, order = std::move(order), dense = plan.gpu_offset]() mutable {
-          run_gpu_lane(board, std::move(order), dense);
+        [this, board, order = std::move(order), dense = plan.gpu_offset] {
+          // Publish lane completion even if a kernel throws — the engine
+          // thread is blocked on lanes_remaining; the error surfaces at the
+          // lane's rethrow_pending_error (end_step).
+          std::exception_ptr error;
+          try {
+            run_gpu_lane(*board, order, dense);
+          } catch (...) {
+            error = std::current_exception();
+          }
+          {
+            std::lock_guard lock(board->m);
+            --board->lanes_remaining;
+            board->cv.notify_all();
+          }
+          if (error) std::rethrow_exception(error);  // recorded by the lane's loop
         });
   }
 
-  // ---- Primary GPU lane (this thread): dense head, then accelerator 0's
-  // routed experts in plan order, each gated on its transfer completion.
-  if (paced_) {
-    const auto t0 = PaceClock::now();
-    sleep_until_paced(t0 + scaled_duration(plan.gpu_offset, scale));
-  }
-  for (const std::size_t i : gpu_order) {
-    if (tasks[i].transferred) {
-      std::unique_lock lock(board->m);
-      board->cv.wait(lock, [&board, i] { return board->done[i] != 0; });
-    }
-    const auto t0 = PaceClock::now();
-    if (options_.compute_experts)
-      board->slots[i] = store_.forward(tasks[i].expert, board->input);
-    if (paced_)
-      sleep_until_paced(t0 + scaled_duration(tasks[i].end - tasks[i].start, scale));
-  }
+  // ---- Primary GPU lane (this thread): accelerator 0's lane.
+  run_gpu_lane(*board, gpu_order, plan.gpu_offset);
 
   // ---- Barrier: the layer is done when every compute task has finished on
   // every lane (every plan transfer completed earlier — its accelerator
@@ -409,7 +383,7 @@ LayerResult HybridExecutor::execute_layer(const sched::LayerPlan& plan, double o
                     (paced_ ? scale : 1.0);
   step_.measured += result.measured;
   ++step_.layers;
-  if (options_.compute_experts) result.output = combine_and_digest(plan, board->slots);
+  result.output = combine_and_digest(plan, board->slots);
   return result;
 }
 
@@ -422,11 +396,8 @@ double HybridExecutor::calibrate_time_scale(const hw::CostModel& costs, double s
   const moe::ExpertId probe{0, 0};
   const auto input = store_.layer_input(0);
   std::vector<std::byte> probe_scratch;
-  double real = 0.0;
-  if (options_.compute_experts)
-    real = std::max(real, hw::time_callable([&] { (void)store_.forward(probe, input); }));
-  if (options_.copy_weight_blobs)
-    real = std::max(real, hw::time_callable([&] { copy_blob(probe, probe_scratch); }));
+  double real = hw::time_callable([&] { (void)store_.forward(probe, input); });
+  real = std::max(real, hw::time_callable([&] { copy_blob(probe, probe_scratch); }));
   // Sleep overshoot: how late a paced task typically wakes.
   static constexpr auto kProbeSleep = std::chrono::microseconds(200);
   reduce_timer_slack();

@@ -14,7 +14,9 @@
 /// exactly the threads they did under the CPU+GPU pair model.
 ///
 /// Every expert task runs a real expert forward pass at the store's
-/// functional dimensions (SIMD-dispatched, fp32 or Q4), then — in a paced
+/// functional dimensions (SIMD-dispatched, fp32 or Q4), and every transfer
+/// memcpys the expert's transfer blob into its link's staging buffer; then
+/// — in a paced
 /// step — sleeps to the scaled modeled duration (calibrated sleep), so
 /// wall-clock measurements validate the *concurrency structure* the
 /// scheduler claims — whether CPU compute, GPU compute and PCIe transfers
@@ -77,12 +79,6 @@ struct ExecOptions {
   /// (or a wall-time target) so that paced durations dominate real kernel
   /// times and sleep overshoot; 1.0 means real time == modeled time.
   double time_scale = 1.0;
-  /// Run real expert FFN kernels and produce layer outputs/digests. When
-  /// false the backend paces timing only.
-  bool compute_experts = true;
-  /// memcpy the expert's weight blob into the device staging buffer on every
-  /// transfer (real PCIe traffic stand-in). Pacing applies either way.
-  bool copy_weight_blobs = true;
   /// Run experts at Q4 precision: quantized kernels on the hot path and Q4
   /// transfer blobs (~6x smaller than fp32 at the default geometry).
   /// Outputs/digests stay deterministic but differ from fp32 runs.
@@ -113,9 +109,8 @@ struct LayerResult {
   /// Wall-clock layer window re-expressed in modeled seconds (wall /
   /// time_scale); 0 for the single-threaded reference path.
   double measured = 0.0;
-  /// Combined routed-expert output of the layer (empty when
-  /// compute_experts is off). Bitwise-deterministic across backends,
-  /// worker counts and device assignments.
+  /// Combined routed-expert output of the layer. Bitwise-deterministic
+  /// across backends, worker counts and device assignments.
   std::vector<float> output;
 };
 
@@ -223,10 +218,11 @@ class HybridExecutor {
   void ensure_started(std::size_t num_links, std::size_t num_lanes);
   /// Run CPU-lane task `pos` of the board, then chain-submit `pos` + 1.
   void run_cpu_chain(const std::shared_ptr<LayerBoard>& board, std::size_t pos);
-  /// Run one extra accelerator's whole lane (device index >= 1) on its
-  /// dedicated thread: dense head, then its tasks gated on their transfers.
-  void run_gpu_lane(const std::shared_ptr<LayerBoard>& board,
-                    std::vector<std::size_t> order, double dense_seconds);
+  /// Run one accelerator's whole lane: dense head, then the tasks in
+  /// `order`, each gated on its transfer. Accelerator 0's lane runs on the
+  /// engine thread, every further one on its dedicated thread.
+  void run_gpu_lane(LayerBoard& board, std::span<const std::size_t> order,
+                    double dense_seconds);
   /// memcpy one expert's serialized transfer blob (fp32 or Q4, pre-built in
   /// the store's arena) into `scratch` (one reusable buffer per link).
   void copy_blob(moe::ExpertId id, std::vector<std::byte>& scratch);

@@ -70,10 +70,6 @@ class CostModel {
   [[nodiscard]] double shared_experts_time(std::size_t tokens) const;
   /// Attention + norms of one layer on the primary accelerator.
   [[nodiscard]] double attention_time(std::size_t tokens) const;
-  /// Fixed per-layer framework overhead (kernel dispatch, python glue, ...).
-  [[nodiscard]] double layer_overhead() const noexcept { return layer_overhead_; }
-  /// Set the fixed per-layer framework overhead in seconds.
-  void set_layer_overhead(double seconds) noexcept { layer_overhead_ = seconds; }
 
   // -- Fault injection (scenario layer) -----------------------------------
   // Runtime device/link health. The default state (every device available,
@@ -96,7 +92,6 @@ class CostModel {
  private:
   Topology topology_;
   moe::ModelConfig model_;
-  double layer_overhead_ = 0.0;
   std::vector<std::uint8_t> accel_available_;  ///< per-accelerator health
   std::vector<double> link_scale_;             ///< per-link bandwidth multiplier
 };

@@ -125,7 +125,7 @@ double OffloadEngine::run_step(const workload::ForwardTrace& forward,
     const double dense = t_attn + t_shared;
     metrics.attention_time += t_attn;
     metrics.shared_time += t_shared;
-    const double overhead = costs_.layer_overhead() + components_.per_layer_overhead;
+    const double overhead = components_.per_layer_overhead;
     latency += overhead;
 
     // Score feed (Eq. 3 input) before this layer's lookups, mirroring the

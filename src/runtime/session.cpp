@@ -14,29 +14,6 @@ workload::TraceGenParams warmup_params(const workload::TraceGenParams& base) {
   return p;
 }
 
-/// Stage adapters: one isolated request through the serving layer. A single
-/// whole-prompt (or prompt-free decode) request composes every step from
-/// exactly the shared stage trace, so these reproduce the pre-serving
-/// run_prefill/run_decode numbers bit for bit.
-StageMetrics serve_one_prefill(std::unique_ptr<OffloadEngine> engine,
-                               const workload::PrefillTrace& trace) {
-  std::vector<Request> requests(1);
-  requests[0].spec.prompt_tokens = trace.prompt_tokens;
-  requests[0].prefill_chunks.push_back(trace);
-  ServeEngine serve(std::move(engine));
-  return serve.run(std::move(requests)).steps;
-}
-
-StageMetrics serve_one_decode(std::unique_ptr<OffloadEngine> engine,
-                              const workload::DecodeTrace& trace) {
-  HYBRIMOE_REQUIRE(trace.num_steps() > 0, "decode trace is empty");
-  std::vector<Request> requests(1);
-  requests[0].spec.decode_tokens = trace.num_steps();
-  requests[0].decode = trace;
-  ServeEngine serve(std::move(engine));
-  return serve.run(std::move(requests)).steps;
-}
-
 }  // namespace
 
 ExperimentHarness::ExperimentHarness(ExperimentSpec spec)
@@ -89,13 +66,11 @@ void ExperimentHarness::set_execution(exec::ExecutionMode mode,
 }
 
 StageMetrics ExperimentHarness::run_prefill(const StackSpec& stack, std::size_t tokens) {
-  const auto& trace = prefill_trace(tokens);
-  return serve_one_prefill(build(stack), trace);
+  return build(stack)->run_prefill(prefill_trace(tokens));
 }
 
 StageMetrics ExperimentHarness::run_decode(const StackSpec& stack, std::size_t steps) {
-  const auto& trace = decode_trace(steps);
-  return serve_one_decode(build(stack), trace);
+  return build(stack)->run_decode(decode_trace(steps));
 }
 
 std::vector<Request> ExperimentHarness::materialize(

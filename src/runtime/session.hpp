@@ -11,11 +11,10 @@
 ///  * each run starts from a freshly built engine with a freshly seeded
 ///    cache.
 ///
-/// Since the serving redesign the harness is a thin adapter over the
-/// request-level API: run_prefill/run_decode submit a single request to a
-/// ServeEngine (reproducing the stage experiments exactly), and serve() runs
-/// a full request stream with continuous batching under the same fairness
-/// rules — identical per-request traces and warmup for every framework.
+/// run_prefill/run_decode run one shared stage trace on a freshly built
+/// OffloadEngine; serve() runs a full request stream with continuous
+/// batching on a ServeEngine under the same fairness rules — identical
+/// per-request traces and warmup for every framework.
 
 #include <map>
 #include <memory>

@@ -36,17 +36,17 @@ namespace {
 
 const SchedulerRegistrar kHybridScheduler{
     "hybrid", [](const ComponentContext&) -> std::unique_ptr<sched::LayerScheduler> {
-      return std::make_unique<sched::HybridScheduler>();
+      return std::make_unique<sched::SimScheduler>(sched::SimScheduler::hybrid());
     }};
 
 const SchedulerRegistrar kFixedMapScheduler{
     "fixed-map", [](const ComponentContext&) -> std::unique_ptr<sched::LayerScheduler> {
-      return std::make_unique<sched::FixedMapScheduler>();
+      return std::make_unique<sched::SimScheduler>(sched::SimScheduler::fixed_map());
     }};
 
 const SchedulerRegistrar kGpuCentricScheduler{
     "gpu-centric", [](const ComponentContext&) -> std::unique_ptr<sched::LayerScheduler> {
-      return std::make_unique<sched::GpuCentricScheduler>();
+      return std::make_unique<sched::SimScheduler>(sched::SimScheduler::gpu_centric());
     }};
 
 const SchedulerRegistrar kStaticLayerScheduler{

@@ -50,8 +50,7 @@ double assignment_makespan(std::span<const ExpertDemand> demands,
   bool cpu_used = false;
   for (std::size_t i = 0; i < demands.size(); ++i) {
     if (assignment[i] != kCpuDevice) continue;
-    const bool warm = cpu_used || !options.cpu_cold_start;
-    cpu_total += costs.cpu_expert_time(demands[i].load, warm);
+    cpu_total += costs.cpu_expert_time(demands[i].load, cpu_used);
     cpu_used = true;
   }
 
@@ -69,7 +68,8 @@ double assignment_makespan(std::span<const ExpertDemand> demands,
       gpu_times.push_back(costs.gpu_expert_time(demands[i].load, 0));
     }
   }
-  double pcie_t = options.pcie_busy_until;
+  double pcie_t =
+      options.link_busy_until.empty() ? 0.0 : options.link_busy_until[0];
   for (const std::size_t j : johnson_order(pcie_times, gpu_times)) {
     pcie_t += pcie_times[j];
     gpu_t = std::max(gpu_t, pcie_t) + gpu_times[j];

@@ -41,16 +41,6 @@ std::vector<std::size_t> LayerPlan::device_order(DeviceId device) const {
   return order;
 }
 
-std::vector<std::size_t> LayerPlan::transfer_order() const {
-  std::vector<std::size_t> order;
-  for (std::size_t i = 0; i < tasks.size(); ++i)
-    if (tasks[i].transferred) order.push_back(i);
-  std::stable_sort(order.begin(), order.end(), [this](std::size_t a, std::size_t b) {
-    return tasks[a].transfer_start < tasks[b].transfer_start;
-  });
-  return order;
-}
-
 std::vector<std::size_t> LayerPlan::transfer_order(DeviceId device) const {
   std::vector<std::size_t> order;
   for (std::size_t i = 0; i < tasks.size(); ++i)

@@ -96,11 +96,6 @@ struct LayerPlan {
   /// backend lowers each lane into a chain of real tasks in this order.
   [[nodiscard]] std::vector<std::size_t> device_order(DeviceId device) const;
 
-  /// Indices of all transferred tasks in transfer-start order — the combined
-  /// FIFO service order across links (equals the single link's order on
-  /// one-accelerator plans).
-  [[nodiscard]] std::vector<std::size_t> transfer_order() const;
-
   /// Indices of the tasks transferred over `device`'s link in transfer-start
   /// order — the FIFO submission order of that link's copy engine.
   [[nodiscard]] std::vector<std::size_t> transfer_order(DeviceId device) const;

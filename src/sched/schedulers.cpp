@@ -1,80 +1,70 @@
 #include "sched/schedulers.hpp"
 
 #include <cmath>
+#include <utility>
 #include <vector>
 
 #include "util/assert.hpp"
 
 namespace hybrimoe::sched {
 
-HybridScheduler::HybridScheduler(SimOptions options) : options_(options) {
-  options_.validate();
-}
+namespace {
 
-LayerPlan HybridScheduler::schedule(std::uint16_t layer, Stage stage,
-                                    std::span<const ExpertDemand> demands,
-                                    const hw::CostModel& costs,
-                                    double gpu_busy_until, double pcie_busy_until,
-                                    std::span<const double> link_busy) {
-  SimOptions opt = options_;
-  opt.gpu_busy_until = gpu_busy_until;
-  opt.pcie_busy_until = pcie_busy_until;
-  opt.link_busy_until.assign(link_busy.begin(), link_busy.end());
-  return simulate_layer(layer, stage, demands, costs, opt);
-}
-
-SimOptions FixedMapScheduler::impact_options() const {
-  // Impact of caching an extra expert under the fixed mapping (used when
-  // ablations attach a prefetcher to the kTransformers baseline).
-  SimOptions opt;
-  opt.allow_cpu_steal = false;
-  opt.allow_transfers = false;
-  return opt;
-}
-
-LayerPlan FixedMapScheduler::schedule(std::uint16_t layer, Stage stage,
-                                      std::span<const ExpertDemand> demands,
-                                      const hw::CostModel& costs,
-                                      double gpu_busy_until, double pcie_busy_until,
-                                      std::span<const double> link_busy) {
-  SimOptions opt;
-  opt.gpu_busy_until = gpu_busy_until;
-  opt.pcie_busy_until = pcie_busy_until;
-  opt.link_busy_until.assign(link_busy.begin(), link_busy.end());
-  if (stage == Stage::Decode) {
-    // Decode: hits on GPU, misses on CPU, nothing moves.
-    opt.allow_cpu = true;
-    opt.allow_transfers = false;
-    opt.allow_cpu_steal = false;
+/// `table` with one schedule call's clocks. An empty `link_busy` means every
+/// link carries `pcie_busy_until`.
+SimOptions with_clocks(SimOptions table, const hw::CostModel& costs,
+                       double gpu_busy_until, double pcie_busy_until,
+                       std::span<const double> link_busy) {
+  table.gpu_busy_until = gpu_busy_until;
+  if (link_busy.empty()) {
+    table.link_busy_until.assign(costs.num_accelerators(), pcie_busy_until);
   } else {
-    // Prefill: kTransformers streams misses to the GPU; the CPU is not used
-    // for expert computation in this stage (paper Table I).
-    opt.allow_cpu = false;
-    opt.allow_transfers = true;
-    opt.allow_cpu_steal = false;
-    opt.transfer_only_if_beneficial = false;
+    table.link_busy_until.assign(link_busy.begin(), link_busy.end());
   }
-  return simulate_layer(layer, stage, demands, costs, opt);
+  return table;
 }
 
-SimOptions GpuCentricScheduler::impact_options() const {
-  SimOptions opt;
-  opt.allow_cpu = false;
-  opt.allow_transfers = true;
-  opt.transfer_only_if_beneficial = false;
-  return opt;
+}  // namespace
+
+SimScheduler SimScheduler::hybrid(SimOptions options) {
+  return SimScheduler("hybrid", options, options);
 }
 
-LayerPlan GpuCentricScheduler::schedule(std::uint16_t layer, Stage stage,
-                                        std::span<const ExpertDemand> demands,
-                                        const hw::CostModel& costs,
-                                        double gpu_busy_until, double pcie_busy_until,
-                                        std::span<const double> link_busy) {
-  SimOptions opt = impact_options();
-  opt.gpu_busy_until = gpu_busy_until;
-  opt.pcie_busy_until = pcie_busy_until;
-  opt.link_busy_until.assign(link_busy.begin(), link_busy.end());
-  return simulate_layer(layer, stage, demands, costs, opt);
+SimScheduler SimScheduler::fixed_map() {
+  // Prefill: kTransformers streams misses to the GPU; the CPU is not used
+  // for expert computation in this stage (paper Table I).
+  SimOptions prefill;
+  prefill.allow_cpu = false;
+  prefill.allow_cpu_steal = false;
+  prefill.transfer_only_if_beneficial = false;
+  // Decode: hits on GPU, misses on CPU, nothing moves.
+  SimOptions decode;
+  decode.allow_transfers = false;
+  decode.allow_cpu_steal = false;
+  return SimScheduler("fixed-map", prefill, decode);
+}
+
+SimScheduler SimScheduler::gpu_centric() {
+  SimOptions options;
+  options.allow_cpu = false;
+  options.transfer_only_if_beneficial = false;
+  return SimScheduler("gpu-centric", options, options);
+}
+
+SimScheduler::SimScheduler(std::string name, SimOptions prefill, SimOptions decode)
+    : name_(std::move(name)), prefill_(std::move(prefill)), decode_(std::move(decode)) {
+  prefill_.validate();
+  decode_.validate();
+}
+
+LayerPlan SimScheduler::schedule(std::uint16_t layer, Stage stage,
+                                 std::span<const ExpertDemand> demands,
+                                 const hw::CostModel& costs, double gpu_busy_until,
+                                 double pcie_busy_until,
+                                 std::span<const double> link_busy) {
+  const SimOptions& table = stage == Stage::Prefill ? prefill_ : decode_;
+  return simulate_layer(layer, stage, demands, costs,
+                        with_clocks(table, costs, gpu_busy_until, pcie_busy_until, link_busy));
 }
 
 StaticLayerScheduler::StaticLayerScheduler(std::size_t num_layers, double gpu_fraction)
@@ -112,19 +102,12 @@ LayerPlan StaticLayerScheduler::schedule(std::uint16_t layer, Stage stage,
     if (on_gpu) d.cached_on = accelerator_device(d.expert % num_accels);
   }
 
-  SimOptions opt;
-  opt.gpu_busy_until = gpu_busy_until;
-  opt.pcie_busy_until = pcie_busy_until;
-  opt.link_busy_until.assign(link_busy.begin(), link_busy.end());
-  opt.allow_transfers = false;
-  opt.allow_cpu_steal = false;
-  opt.allow_cpu = !on_gpu;
-  if (on_gpu) {
-    // Nothing to do on CPU; disable it so the options validate either way.
-    opt.allow_cpu = false;
-    opt.allow_transfers = true;  // vacuous: every expert is resident
-  }
-  return simulate_layer(layer, stage, adjusted, costs, opt);
+  SimOptions table;
+  table.allow_cpu = !on_gpu;
+  table.allow_transfers = on_gpu;  // vacuous on GPU layers: every expert is resident
+  table.allow_cpu_steal = false;
+  return simulate_layer(layer, stage, adjusted, costs,
+                        with_clocks(table, costs, gpu_busy_until, pcie_busy_until, link_busy));
 }
 
 }  // namespace hybrimoe::sched

@@ -63,7 +63,6 @@ void SimOptions::validate() const {
   HYBRIMOE_REQUIRE(allow_cpu || allow_transfers,
                    "uncached experts need either CPU compute or transfers");
   HYBRIMOE_REQUIRE(gpu_busy_until >= 0.0, "gpu_busy_until must be non-negative");
-  HYBRIMOE_REQUIRE(pcie_busy_until >= 0.0, "pcie_busy_until must be non-negative");
   for (const double t : link_busy_until)
     HYBRIMOE_REQUIRE(t >= 0.0, "link_busy_until entries must be non-negative");
 }
@@ -95,9 +94,8 @@ LayerPlan simulate_layer(std::uint16_t layer, Stage stage,
   SimState st;
   st.accel_side.resize(num_accels);
   st.accel_t.assign(num_accels, options.gpu_busy_until);
-  st.link_t = options.link_busy_until.empty()
-                  ? std::vector<double>(num_accels, options.pcie_busy_until)
-                  : options.link_busy_until;
+  st.link_t = options.link_busy_until.empty() ? std::vector<double>(num_accels, 0.0)
+                                              : options.link_busy_until;
   for (const auto& d : demands) {
     Pending p{.expert = d.expert, .load = d.load, .cached = d.cached};
     if (d.cached) {
@@ -123,8 +121,7 @@ LayerPlan simulate_layer(std::uint16_t layer, Stage stage,
   for (std::size_t a = 0; a < num_accels; ++a) xfer[a] = costs.transfer_time(a);
 
   auto emit_cpu = [&](const Pending& p) {
-    const bool warm = st.cpu_used || !options.cpu_cold_start;
-    const double dur = costs.cpu_expert_time(p.load, warm);
+    const double dur = costs.cpu_expert_time(p.load, st.cpu_used);
     ExpertTask t;
     t.expert = {layer, p.expert};
     t.load = p.load;
@@ -204,15 +201,14 @@ LayerPlan simulate_layer(std::uint16_t layer, Stage stage,
     if (options.allow_cpu) {
       if (!st.cpu_side.empty()) {
         bool take = true;
-        if (options.allow_transfers && options.cpu_only_if_beneficial) {
+        if (options.allow_transfers) {
           // Simulation-evaluated assignment: would the lowest-load uncached
           // expert finish sooner on the CPU than streamed at the tail of the
           // best link's chain? The 1.5x margin hedges the chain-length
           // estimate, which shrinks as the CPU keeps draining the queue.
           const Pending& cand = st.cpu_side.front();
-          const bool warm = st.cpu_used || !options.cpu_cold_start;
           const double cpu_finish =
-              st.cpu_t + 1.5 * costs.cpu_expert_time(cand.load, warm);
+              st.cpu_t + 1.5 * costs.cpu_expert_time(cand.load, st.cpu_used);
           double gpu_finish = kInf;
           for (std::size_t a = 0; a < num_accels; ++a) {
             if (!costs.accelerator_available(a)) continue;
@@ -246,8 +242,8 @@ LayerPlan simulate_layer(std::uint16_t layer, Stage stage,
         }
         if (found) {
           const Pending& cand = st.accel_side[steal_dev][steal_pick];
-          const bool warm = st.cpu_used || !options.cpu_cold_start;
-          const double cpu_finish = st.cpu_t + costs.cpu_expert_time(cand.load, warm);
+          const double cpu_finish =
+              st.cpu_t + costs.cpu_expert_time(cand.load, st.cpu_used);
           const double gpu_finish =
               st.accel_t[steal_dev] +
               gpu_backlog(st.accel_side[steal_dev], costs, steal_dev);  // served last

@@ -11,8 +11,11 @@
 ///
 ///  * GPU priority  — cached experts, highest load first, on the device
 ///                    holding the resident copy;
-///  * CPU priority  — uncached experts, lowest load first; when its queue is
-///                    empty the CPU steals low-load cached experts;
+///  * CPU priority  — uncached experts, lowest load first, when finishing
+///                    one there beats streaming it at the tail of the best
+///                    link's chain; when its queue is empty the CPU steals
+///                    low-load cached experts; its first task pays the
+///                    cold-start warmup (Fig. 3e);
 ///  * Transfer      — a link promotes the highest-load uncached expert to
 ///                    the accelerator where the simulated completion is
 ///                    earliest, when that beats leaving it on the CPU.
@@ -27,8 +30,8 @@
 ///
 /// The same routine — with features disabled through SimOptions — also
 /// implements the baseline scheduling policies (kTransformers fixed mapping,
-/// AdapMoE GPU-centric, llama.cpp static layers), so that framework
-/// comparisons isolate policy differences only.
+/// AdapMoE GPU-centric, llama.cpp static layers; see schedulers.hpp), so
+/// that framework comparisons isolate policy differences only.
 
 #include <span>
 #include <vector>
@@ -51,30 +54,17 @@ struct SimOptions {
   /// allow_cpu is false this check is vacuous — transfers are the only way
   /// to make progress on uncached experts.
   bool transfer_only_if_beneficial = true;
-  /// Symmetric check on the CPU side: the CPU takes its lowest-load uncached
-  /// expert only when finishing it there beats streaming it at the tail of
-  /// the best link's transfer chain. Keeps the CPU out of high-load prefill
-  /// work an accelerator route would finish sooner. Vacuous when transfers
-  /// are disabled (the CPU is then the only route).
-  bool cpu_only_if_beneficial = true;
-  /// First CPU task of the layer pays the cold-start warmup penalty
-  /// (paper Fig. 3e).
-  bool cpu_cold_start = true;
   /// Every accelerator is occupied until this time by the layer's dense work
   /// (attention + shared experts — see Fig. 5, where the shared expert block
   /// precedes routed experts on the GPU; the dense pipeline is replicated
   /// across devices). The CPU starts at time zero, which is exactly how
   /// hybrid frameworks hide CPU misses under the dense phase.
   double gpu_busy_until = 0.0;
-  /// Every link is occupied until this time by transfers still in flight
-  /// from previous layers (prefetches issued asynchronously) — unless
-  /// link_busy_until provides per-link values. On-demand transfers queue
-  /// behind them — so aggressive prefetching *delays* on-demand loads, a
+  /// Per-link occupancy by transfers still in flight from previous layers
+  /// (prefetches issued asynchronously), one entry per accelerator in
+  /// topology order; empty means every link starts at 0. On-demand transfers
+  /// queue behind it — so aggressive prefetching *delays* on-demand loads, a
   /// trade-off the beneficial-transfer check sees.
-  double pcie_busy_until = 0.0;
-  /// Per-link carried occupancy, one entry per accelerator in topology
-  /// order. Empty: every link starts at pcie_busy_until. Non-empty: must
-  /// match the cost model's accelerator count.
   std::vector<double> link_busy_until{};
 
   /// Throws std::invalid_argument on inconsistent switches or negative times.

@@ -217,7 +217,9 @@ class Parser {
       if (!digits()) fail(pos_, "malformed exponent");
     }
     const std::string token(text_.substr(start, pos_ - start));
-    return std::strtod(token.c_str(), nullptr);
+    const double value = std::strtod(token.c_str(), nullptr);
+    if (!std::isfinite(value)) fail(start, "number '" + token + "' is out of range");
+    return value;
   }
 
   std::string_view text_;

@@ -116,7 +116,7 @@ TEST(ExecEngine, CapacityOneCacheForcesDependencyChainsAndStaysCorrect) {
   auto build = [&](exec::ExecutionMode mode, std::size_t workers) {
     EngineComponents c;
     c.name = "stress";
-    c.scheduler = std::make_unique<sched::GpuCentricScheduler>();
+    c.scheduler = std::make_unique<sched::SimScheduler>(sched::SimScheduler::gpu_centric());
     c.caches.push_back(std::make_unique<cache::ExpertCache>(
         1, std::make_unique<cache::LruPolicy>()));
     c.update_policy_scores = false;
@@ -173,7 +173,7 @@ TEST(ExecEngine, ThreadedModeRequiresAnExecutor) {
   const hw::CostModel costs(spec.machine, spec.model);
   EngineComponents c;
   c.name = "broken";
-  c.scheduler = std::make_unique<sched::GpuCentricScheduler>();
+  c.scheduler = std::make_unique<sched::SimScheduler>(sched::SimScheduler::gpu_centric());
   c.caches.push_back(
       std::make_unique<cache::ExpertCache>(1, std::make_unique<cache::LruPolicy>()));
   c.execution_mode = exec::ExecutionMode::Threaded;

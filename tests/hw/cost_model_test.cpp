@@ -134,13 +134,6 @@ TEST_F(CostModelTest, InvalidMachineRejected) {
   EXPECT_THROW(CostModel(bad, model_), std::invalid_argument);
 }
 
-TEST_F(CostModelTest, LayerOverheadDefaultsToZero) {
-  EXPECT_EQ(costs_.layer_overhead(), 0.0);
-  CostModel c(MachineProfile::a6000_xeon10(), model_);
-  c.set_layer_overhead(1e-4);
-  EXPECT_DOUBLE_EQ(c.layer_overhead(), 1e-4);
-}
-
 /// Expert size ordering drives model-dependent regimes; sweep all models.
 class ModelRegimeTest : public ::testing::TestWithParam<int> {};
 

@@ -20,7 +20,7 @@ class EngineTest : public ::testing::Test {
   EngineComponents hybrid_components(std::size_t capacity) {
     EngineComponents c;
     c.name = "test-hybrid";
-    c.scheduler = std::make_unique<sched::HybridScheduler>();
+    c.scheduler = std::make_unique<sched::SimScheduler>(sched::SimScheduler::hybrid());
     c.caches.push_back(std::make_unique<cache::ExpertCache>(
         capacity, std::make_unique<cache::MrsPolicy>()));
     c.prefetcher = std::make_unique<core::ImpactDrivenPrefetcher>();
@@ -57,7 +57,7 @@ TEST_F(EngineTest, RequiresComponents) {
 
   EngineComponents missing_cache;
   missing_cache.name = "x";
-  missing_cache.scheduler = std::make_unique<sched::HybridScheduler>();
+  missing_cache.scheduler = std::make_unique<sched::SimScheduler>(sched::SimScheduler::hybrid());
   EXPECT_THROW(OffloadEngine(std::move(missing_cache), costs_), std::invalid_argument);
 }
 
@@ -110,7 +110,7 @@ TEST_F(EngineTest, StaticCacheStaysStatic) {
   // kTransformers-style configuration: no dynamic inserts.
   EngineComponents c;
   c.name = "static";
-  c.scheduler = std::make_unique<sched::FixedMapScheduler>();
+  c.scheduler = std::make_unique<sched::SimScheduler>(sched::SimScheduler::fixed_map());
   c.caches.push_back(
       std::make_unique<cache::ExpertCache>(4, std::make_unique<cache::LfuPolicy>()));
   c.dynamic_cache_inserts = false;

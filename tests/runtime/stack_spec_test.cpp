@@ -143,6 +143,8 @@ TEST(StackSpecTest, MalformedDocumentsFailWithOffsets) {
                  {"duplicate key 'name'"});
   expect_invalid([] { (void)parse_stack_spec(R"({"overhead_us": "forty"})"); },
                  {"'overhead_us' must be a number"});
+  expect_invalid([] { (void)parse_stack_spec(R"({"overhead_us": 1e999})"); },
+                 {"offset 16", "number '1e999' is out of range"});
   expect_invalid([] { (void)parse_stack_spec(R"({"dynamic_inserts": 1})"); },
                  {"'dynamic_inserts' must be true or false"});
   expect_invalid(

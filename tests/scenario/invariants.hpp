@@ -55,8 +55,9 @@ inline void check_progress(const std::vector<StepRecord>& timeline) {
     EXPECT_GT(step.end_clock, step.start_clock) << "step " << i;
     EXPECT_GT(step.prefill_tokens + step.decode_tokens, 0U) << "step " << i;
     EXPECT_GT(step.active_requests, 0U) << "step " << i;
-    if (i > 0)
+    if (i > 0) {
       EXPECT_GE(step.start_clock, timeline[i - 1].end_clock) << "step " << i;
+    }
   }
 }
 

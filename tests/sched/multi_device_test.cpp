@@ -139,7 +139,6 @@ TEST(MultiDeviceSimulator, PerLinkTransferOrdersAreConsistentWithDeviceOrder) {
       EXPECT_TRUE(plan.tasks[i].transferred);
   }
   EXPECT_EQ(total_transfers, demands.size());
-  EXPECT_EQ(plan.transfer_order().size(), demands.size());
 }
 
 TEST(MultiDeviceSimulator, MoreDevicesNeverHurtTheMakespan) {
@@ -169,7 +168,7 @@ TEST(MultiDeviceSimulator, SingleDeviceTopologyMatchesMachineProfileBitForBit) {
   const auto demands = mixed_demands(1);
   SimOptions options;
   options.gpu_busy_until = 2.0;
-  options.pcie_busy_until = 1.0;
+  options.link_busy_until = {1.0};
   const LayerPlan a = simulate_layer(3, Stage::Decode, demands, pair, options);
   const LayerPlan b = simulate_layer(3, Stage::Decode, demands, topo, options);
   ASSERT_EQ(a.tasks.size(), b.tasks.size());
@@ -191,7 +190,7 @@ TEST(MultiDeviceSimulator, SingleDeviceTopologyMatchesMachineProfileBitForBit) {
 
 TEST(MultiDeviceSimulator, HybridSchedulerThreadsLinkCarryPerLink) {
   const auto costs = multi_costs(2);
-  HybridScheduler scheduler;
+  SimScheduler scheduler = SimScheduler::hybrid();
   const auto demands = mixed_demands(2);
   const std::vector<double> carry{5.0, 0.0};
   const LayerPlan plan =
@@ -203,6 +202,11 @@ TEST(MultiDeviceSimulator, HybridSchedulerThreadsLinkCarryPerLink) {
   // No transfer on link 0 may start before its carried occupancy ends.
   for (const std::size_t i : plan.transfer_order(kGpuDevice))
     EXPECT_GE(plan.tasks[i].transfer_start, 5.0 - 1e-9);
+
+  // Without per-link values the scalar carry applies to every link.
+  const LayerPlan scalar = scheduler.schedule(0, Stage::Decode, demands, costs, 1.0, 3.0);
+  EXPECT_TRUE(validate_plan(scalar, demands).empty());
+  EXPECT_EQ(scalar.link_offsets, (std::vector<double>{3.0, 3.0}));
 }
 
 TEST(MultiDeviceSimulator, RejectsCachedOnOutsideTheTopology) {

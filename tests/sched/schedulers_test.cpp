@@ -16,7 +16,7 @@ class SchedulersTest : public ::testing::Test {
 };
 
 TEST_F(SchedulersTest, HybridProducesValidNamedPlans) {
-  HybridScheduler sched;
+  SimScheduler sched = SimScheduler::hybrid();
   EXPECT_EQ(sched.name(), "hybrid");
   const auto plan = sched.schedule(1, Stage::Decode, demands_, costs_);
   EXPECT_EQ(plan.layer, 1);
@@ -24,7 +24,7 @@ TEST_F(SchedulersTest, HybridProducesValidNamedPlans) {
 }
 
 TEST_F(SchedulersTest, FixedMapDecodeMissesOnCpuHitsOnGpu) {
-  FixedMapScheduler sched;
+  SimScheduler sched = SimScheduler::fixed_map();
   const auto plan = sched.schedule(0, Stage::Decode, demands_, costs_);
   EXPECT_TRUE(validate_plan(plan, demands_).empty());
   for (const auto& t : plan.tasks) {
@@ -39,7 +39,7 @@ TEST_F(SchedulersTest, FixedMapDecodeMissesOnCpuHitsOnGpu) {
 
 TEST_F(SchedulersTest, FixedMapPrefillStreamsMissesNoCpu) {
   // Paper Table I: kTransformers uses the CPU only during decode.
-  FixedMapScheduler sched;
+  SimScheduler sched = SimScheduler::fixed_map();
   const auto plan = sched.schedule(0, Stage::Prefill, demands_, costs_);
   EXPECT_TRUE(validate_plan(plan, demands_).empty());
   for (const auto& t : plan.tasks) {
@@ -49,7 +49,7 @@ TEST_F(SchedulersTest, FixedMapPrefillStreamsMissesNoCpu) {
 }
 
 TEST_F(SchedulersTest, GpuCentricNeverUsesCpu) {
-  GpuCentricScheduler sched;
+  SimScheduler sched = SimScheduler::gpu_centric();
   for (const auto stage : {Stage::Prefill, Stage::Decode}) {
     const auto plan = sched.schedule(0, stage, demands_, costs_);
     EXPECT_TRUE(validate_plan(plan, demands_).empty());
@@ -96,7 +96,7 @@ TEST_F(SchedulersTest, StaticLayerSpreadIsEven) {
 }
 
 TEST_F(SchedulersTest, GpuBusyUntilThreadsThrough) {
-  HybridScheduler hybrid;
+  SimScheduler hybrid = SimScheduler::hybrid();
   const auto plan = hybrid.schedule(0, Stage::Decode, demands_, costs_, 5.0, 1.0);
   EXPECT_DOUBLE_EQ(plan.gpu_offset, 5.0);
   ASSERT_EQ(plan.link_offsets.size(), 1U);
@@ -110,11 +110,11 @@ TEST_F(SchedulersTest, GpuBusyUntilThreadsThrough) {
 }
 
 TEST_F(SchedulersTest, ImpactOptionsMatchSchedulerBehaviour) {
-  HybridScheduler hybrid;
+  SimScheduler hybrid = SimScheduler::hybrid();
   EXPECT_TRUE(hybrid.impact_options().allow_transfers);
-  GpuCentricScheduler gpu;
+  SimScheduler gpu = SimScheduler::gpu_centric();
   EXPECT_FALSE(gpu.impact_options().allow_cpu);
-  FixedMapScheduler fixed;
+  SimScheduler fixed = SimScheduler::fixed_map();
   EXPECT_FALSE(fixed.impact_options().allow_transfers);
 }
 
@@ -122,12 +122,12 @@ TEST_F(SchedulersTest, SchedulersAgreeOnFullyCachedLayer) {
   // With everything cached, every scheduler (except llama.cpp CPU layers)
   // computes everything on the GPU with identical makespans.
   const std::vector<ExpertDemand> cached = {{0, 2, true}, {1, 3, true}};
-  HybridScheduler hybrid;
-  FixedMapScheduler fixed;
-  GpuCentricScheduler gpu;
+  SimScheduler hybrid = SimScheduler::hybrid();
+  SimScheduler fixed = SimScheduler::fixed_map();
+  SimScheduler gpu = SimScheduler::gpu_centric();
   SimOptions no_steal;
   no_steal.allow_cpu_steal = false;
-  HybridScheduler hybrid_no_steal(no_steal);
+  SimScheduler hybrid_no_steal = SimScheduler::hybrid(no_steal);
   const double m_fixed = fixed.schedule(0, Stage::Decode, cached, costs_).makespan;
   const double m_gpu = gpu.schedule(0, Stage::Decode, cached, costs_).makespan;
   const double m_hybrid_ns =

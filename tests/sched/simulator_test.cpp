@@ -153,7 +153,7 @@ TEST_F(SimulatorTest, GpuOffsetDelaysGpuNotCpu) {
 TEST_F(SimulatorTest, PcieOffsetDelaysTransfers) {
   const std::vector<ExpertDemand> demands = {{0, 8, false}, {1, 8, false}};
   SimOptions opt;
-  opt.pcie_busy_until = 2.0;
+  opt.link_busy_until = {2.0};
   const auto plan = simulate_layer(0, Stage::Decode, demands, costs_, opt);
   EXPECT_TRUE(validate_plan(plan, demands).empty());
   for (const auto& t : plan.tasks) {
@@ -177,11 +177,6 @@ TEST_F(SimulatorTest, WarmupAppliedToFirstCpuTaskOnly) {
   std::sort(durations.begin(), durations.end());
   EXPECT_NEAR(durations[0], 1.0, 1e-9);
   EXPECT_NEAR(durations[1], 1.5, 1e-9);  // cold first task
-
-  SimOptions no_cold = opt;
-  no_cold.cpu_cold_start = false;
-  const auto warm_plan = simulate_layer(0, Stage::Decode, demands, costs, no_cold);
-  EXPECT_NEAR(warm_plan.makespan, 2.0, 1e-9);
 }
 
 TEST_F(SimulatorTest, InputValidation) {
@@ -274,7 +269,7 @@ TEST_P(PlanValidityTest, RandomInstancesAlwaysValid) {
                          rng.bernoulli(0.5)});
     SimOptions opt = options;
     opt.gpu_busy_until = rng.bernoulli(0.5) ? rng.uniform(0.0, 3.0) : 0.0;
-    opt.pcie_busy_until = rng.bernoulli(0.3) ? rng.uniform(0.0, 2.0) : 0.0;
+    opt.link_busy_until = {rng.bernoulli(0.3) ? rng.uniform(0.0, 2.0) : 0.0};
     const auto plan = simulate_layer(3, Stage::Decode, demands, costs, opt);
     const auto issues = validate_plan(plan, demands);
     ASSERT_TRUE(issues.empty())
@@ -291,8 +286,7 @@ INSTANTIATE_TEST_SUITE_P(
         OptionCase{"gpu_centric",
                    SimOptions{.allow_cpu = false, .transfer_only_if_beneficial = false}},
         OptionCase{"no_steal", SimOptions{.allow_cpu_steal = false}},
-        OptionCase{"naive_transfers", SimOptions{.transfer_only_if_beneficial = false}},
-        OptionCase{"greedy_cpu", SimOptions{.cpu_only_if_beneficial = false}}),
+        OptionCase{"naive_transfers", SimOptions{.transfer_only_if_beneficial = false}}),
     [](const ::testing::TestParamInfo<OptionCase>& param_info) {
       return param_info.param.name;
     });

@@ -18,6 +18,8 @@
 #    API (src/hw/cost_model.hpp, src/sched/plan.hpp, src/runtime/engine.hpp,
 #    src/runtime/session.hpp — the cost queries, plan shape, engine and
 #    experiment runners every bench, example and tool is written against),
+#    the scheduler core (src/sched/simulator.hpp, src/sched/schedulers.hpp —
+#    the §IV-B simulation and the policies built from its option tables),
 #    and the SIMD dispatch header (src/kernels/simd.hpp — its
 #    ulp-equivalence and dispatch-determinism contract is what keeps
 #    digests stable).
@@ -36,7 +38,7 @@ fail=0
 # ---------------------------------------------------------------------------
 # 1. Doc-comment coverage.
 # ---------------------------------------------------------------------------
-doc_headers="src/exec/*.hpp src/scenario/*.hpp src/serve_sim/*.hpp src/trace/*.hpp src/hw/topology.hpp src/hw/cost_model.hpp src/sched/device.hpp src/sched/plan.hpp src/runtime/engine.hpp src/runtime/session.hpp src/kernels/simd.hpp"
+doc_headers="src/exec/*.hpp src/scenario/*.hpp src/serve_sim/*.hpp src/trace/*.hpp src/hw/topology.hpp src/hw/cost_model.hpp src/sched/device.hpp src/sched/plan.hpp src/sched/simulator.hpp src/sched/schedulers.hpp src/runtime/engine.hpp src/runtime/session.hpp src/kernels/simd.hpp"
 for header in $doc_headers; do
   out=$(awk '
     # Track public sections inside class bodies (structs default public).

@@ -5,8 +5,7 @@
 /// "the numbers moved" into a failing build.
 ///
 ///   hybrimoe_compare baseline.trace candidate.trace
-///   hybrimoe_compare bench/results/load_sweep.json new.json \
-///       --thresholds tools/compare_thresholds.json
+///   hybrimoe_compare old.json new.json --thresholds tools/compare_thresholds.json
 ///
 /// With no thresholds file every metric must match exactly (the right gate
 /// for fixed-seed simulated runs). A thresholds file grants named metrics

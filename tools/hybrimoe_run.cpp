@@ -14,6 +14,7 @@
 /// a starting point for a custom spec file). Exit codes: 0 success, 2 usage
 /// or spec error.
 
+#include <cmath>
 #include <fstream>
 #include <iostream>
 #include <optional>
@@ -161,9 +162,12 @@ Options parse_options(int argc, char** argv) {
     }
   };
   auto to_double = [&](const char* flag, const std::string& v) {
-    return numeric(flag, v, [](const std::string& s, std::size_t* n) {
+    const double value = numeric(flag, v, [](const std::string& s, std::size_t* n) {
       return std::stod(s, n);
     });
+    if (!std::isfinite(value))
+      usage_error(std::string(flag) + " must be a finite number, got '" + v + "'");
+    return value;
   };
   // std::stoull accepts a sign and wraps "-3" to a huge count, so a '-'
   // anywhere in the value is rejected first.
