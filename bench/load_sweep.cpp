@@ -12,7 +12,8 @@
 /// (40k per load level x 3 levels); burst and diurnal ride at a fifth of
 /// that per cell. The tiny model keeps a full run in minutes — the sweep
 /// exercises queueing dynamics, not kernel arithmetic. Trace memory stays
-/// bounded via ServeEngine::serve_stream's lazy materialisation. Set
+/// bounded: a serve builds each request's traces at admission and frees
+/// them when it finishes. Set
 /// HYBRIMOE_LOAD_SWEEP_REQUESTS to override the per-cell Poisson count
 /// (CI's smoke job runs a short sweep this way).
 ///

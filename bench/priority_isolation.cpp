@@ -101,7 +101,7 @@ int main(int argc, char** argv) {
   const runtime::ServeOptions tiered = tiered_options();
 
   auto serve = [&](std::size_t background, const runtime::ServeOptions& opt) {
-    return harness.serve(stack, make_stream(background), opt);
+    return harness.serve_stream(stack, make_stream(background), opt);
   };
 
   const auto baseline = serve(kBackground, tiered);

@@ -41,14 +41,13 @@ int main() {
 
   for (const double rate : {0.25, 0.5, 1.0, 2.0}) {
     stream.arrival_rate = rate;
+    // Traces derive from (seed, request id): both frameworks serve identical
+    // traffic.
     const auto specs = workload::generate_request_stream(stream);
-    // Traces are framework-independent: materialise once, serve copies.
-    const auto requests = harness.materialize(specs);
-
     const auto kt =
-        harness.serve(runtime::preset_spec(runtime::Framework::KTransformers), requests);
+        harness.serve_stream(runtime::preset_spec(runtime::Framework::KTransformers), specs);
     const auto hm =
-        harness.serve(runtime::preset_spec(runtime::Framework::HybriMoE), requests);
+        harness.serve_stream(runtime::preset_spec(runtime::Framework::HybriMoE), specs);
 
     const double kt_tbt = kt.tbt_tails().p95;
     const double hm_tbt = hm.tbt_tails().p95;

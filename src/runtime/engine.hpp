@@ -127,7 +127,7 @@ class OffloadEngine {
   /// *modeled* pass latency in every mode; in Threaded mode the wall-clock
   /// measurement additionally lands in metrics.measured_latency and the
   /// layer-output digest in metrics.exec_digest.
-  /// run_prefill/run_decode and the ServeEngine are thin loops over this.
+  /// run_prefill/run_decode and the serving core are thin loops over this.
   /// Engine-thread only: in Threaded mode the calling thread runs the GPU
   /// lane (dense phase + routed GPU experts) while the backend's worker
   /// pool and copy thread run the CPU and PCIe lanes.

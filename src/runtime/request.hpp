@@ -4,7 +4,7 @@
 /// The serving layer's unit of work. A Request carries its workload identity
 /// (arrival time, prompt length, decode budget, priority tier —
 /// workload::RequestSpec), the routing traces that realise it, and the
-/// lifecycle state the ServeEngine drives it through:
+/// lifecycle state the serving core (serve_sim::SimCore) drives it through:
 ///
 ///     Queued ──admit──► Prefill ──last chunk──► Decode ──budget──► Finished
 ///                         │   ▲
@@ -14,13 +14,13 @@
 ///
 ///     Queued ──deadline / queue pressure / context budget──► Rejected
 ///
-/// Requests with no prompt chunks (already-prefilled sessions, e.g. the
-/// ExperimentHarness decode adapter) enter directly in Decode; requests with
-/// no decode budget finish when their last prefill chunk completes.
+/// Requests with no prompt tokens (already-prefilled sessions) enter
+/// directly in Decode; requests with no decode budget finish when their last
+/// prefill chunk completes.
 /// Preemption only happens at prefill chunk boundaries (a chunk in flight is
 /// never torn); Rejected is terminal — a rejected request emits no tokens.
 ///
-/// Ordering tie-break rule: the ServeEngine processes requests in ascending
+/// Ordering tie-break rule: the serving core processes requests in ascending
 /// (arrival_time, id) order. Two requests sharing an arrival timestamp are
 /// ordered by ascending id, so admission (and therefore every downstream
 /// serving metric) is deterministic regardless of the order the caller
@@ -35,6 +35,7 @@
 
 namespace hybrimoe::runtime {
 
+/// Lifecycle state of a Request (see the diagram above).
 enum class RequestState : std::uint8_t {
   Queued,
   Prefill,
@@ -44,6 +45,7 @@ enum class RequestState : std::uint8_t {
   Rejected,  ///< terminal: never admitted (deadline, queue pressure, budget)
 };
 
+/// \brief Lower-case name of a lifecycle state ("queued", "prefill", ...).
 [[nodiscard]] constexpr const char* to_string(RequestState s) noexcept {
   switch (s) {
     case RequestState::Queued: return "queued";
@@ -56,6 +58,7 @@ enum class RequestState : std::uint8_t {
   return "?";
 }
 
+/// One request's identity, routing traces and lifecycle bookkeeping.
 struct Request {
   workload::RequestSpec spec;
   /// The prompt, split into the chunks the admission policy feeds the batch
@@ -65,14 +68,12 @@ struct Request {
   /// One single-token forward per decode step (spec.decode_tokens steps).
   workload::DecodeTrace decode;
 
-  // -- Lifecycle bookkeeping, owned by the ServeEngine --------------------
+  // -- Lifecycle bookkeeping, owned by the serving core --------------------
+  // Admission, first-token and finish times live in RequestMetrics.
   RequestState state = RequestState::Queued;
-  std::size_t next_chunk = 0;   ///< prefill progress
-  std::size_t next_step = 0;    ///< decode progress
-  double admit_time = 0.0;      ///< when the engine moved it out of the queue
-  double first_token_time = 0.0;
-  double last_token_time = 0.0;
-  double finish_time = 0.0;
+  std::size_t next_chunk = 0;    ///< prefill progress
+  std::size_t next_step = 0;     ///< decode progress
+  double last_token_time = 0.0;  ///< when the latest token was emitted
   /// Number of Prefill -> Preempted transitions this request suffered.
   std::size_t preemptions = 0;
   /// Consecutive steps this request's prefill has been deferred (reset on
@@ -85,24 +86,22 @@ struct Request {
   /// \brief Pause the prefill at the current chunk boundary. Only a request
   /// in Prefill may be preempted; preempting twice (or preempting a decode)
   /// throws std::invalid_argument.
-  void preempt(double now) {
+  void preempt() {
     HYBRIMOE_REQUIRE(state == RequestState::Prefill,
                      std::string("only a prefilling request can be preempted "
                                  "(request is ") +
                          runtime::to_string(state) + ")");
-    (void)now;
     state = RequestState::Preempted;
     ++preemptions;
   }
 
   /// \brief Resume a preempted prefill. Only a request in Preempted may be
   /// resumed; anything else throws std::invalid_argument.
-  void resume(double now) {
+  void resume() {
     HYBRIMOE_REQUIRE(state == RequestState::Preempted,
                      std::string("only a preempted request can be resumed "
                                  "(request is ") +
                          runtime::to_string(state) + ")");
-    (void)now;
     state = RequestState::Prefill;
     preempt_streak = 0;
   }

@@ -1,8 +1,5 @@
 #include "runtime/serve_engine.hpp"
 
-#include <algorithm>
-
-#include "serve_sim/sim_core.hpp"
 #include "serve_sim/trace_source.hpp"
 #include "util/assert.hpp"
 
@@ -27,21 +24,6 @@ void ServeOptions::validate() const {
                    "it from the model with serve_sim::model_kv_bytes_per_token)");
 }
 
-namespace {
-
-/// The (arrival, id) order every serving entry point normalises to — the
-/// tie-break rule documented in request.hpp.
-void sort_by_arrival(std::vector<Request>& requests) {
-  std::stable_sort(requests.begin(), requests.end(), [](const Request& a,
-                                                        const Request& b) {
-    if (a.spec.arrival_time != b.spec.arrival_time)
-      return a.spec.arrival_time < b.spec.arrival_time;
-    return a.spec.id < b.spec.id;
-  });
-}
-
-}  // namespace
-
 std::vector<Request> materialize_requests(workload::TraceGenerator& generator,
                                           std::span<const workload::RequestSpec> specs,
                                           std::size_t max_prefill_chunk) {
@@ -54,61 +36,6 @@ std::vector<Request> materialize_requests(workload::TraceGenerator& generator,
     requests.push_back(std::move(request));
   }
   return requests;
-}
-
-ServeEngine::ServeEngine(std::unique_ptr<OffloadEngine> engine)
-    : engine_(std::move(engine)) {
-  HYBRIMOE_REQUIRE(engine_ != nullptr, "serve engine requires an offload engine");
-}
-
-ServeMetrics ServeEngine::run(std::vector<Request> requests,
-                              const ServeOptions& options) {
-  options.validate();
-  HYBRIMOE_REQUIRE(!requests.empty(), "serving an empty request stream");
-  sort_by_arrival(requests);
-  for (const Request& r : requests) {
-    HYBRIMOE_REQUIRE(r.state == RequestState::Queued && r.next_chunk == 0 &&
-                         r.next_step == 0,
-                     "requests must be freshly materialised");
-    HYBRIMOE_REQUIRE(r.spec.arrival_time >= 0.0, "arrival time must be non-negative");
-    std::size_t chunk_tokens = 0;
-    for (const auto& chunk : r.prefill_chunks) {
-      HYBRIMOE_REQUIRE(options.max_prefill_chunk == 0 ||
-                           chunk.prompt_tokens <= options.max_prefill_chunk,
-                       "prefill chunk exceeds max_prefill_chunk");
-      chunk_tokens += chunk.prompt_tokens;
-    }
-    HYBRIMOE_REQUIRE(chunk_tokens == r.spec.prompt_tokens,
-                     "prefill chunks do not cover the prompt");
-    HYBRIMOE_REQUIRE(r.decode.num_steps() == r.spec.decode_tokens,
-                     "decode trace does not match the decode budget");
-    HYBRIMOE_REQUIRE(r.spec.prompt_tokens + r.spec.decode_tokens > 0,
-                     "request has no tokens");
-  }
-  serve_sim::PrematerializedSource source;
-  serve_sim::SimCore core(*engine_, options, source);
-  return core.run(requests);
-}
-
-ServeMetrics ServeEngine::serve_stream(workload::TraceGenerator& generator,
-                                       std::span<const workload::RequestSpec> specs,
-                                       const ServeOptions& options) {
-  options.validate();
-  HYBRIMOE_REQUIRE(!specs.empty(), "serving an empty request stream");
-  std::vector<Request> requests;
-  requests.reserve(specs.size());
-  for (const auto& spec : specs) {
-    HYBRIMOE_REQUIRE(spec.prompt_tokens + spec.decode_tokens > 0,
-                     "request has no tokens");
-    HYBRIMOE_REQUIRE(spec.arrival_time >= 0.0, "arrival time must be non-negative");
-    Request request;
-    request.spec = spec;
-    requests.push_back(std::move(request));
-  }
-  sort_by_arrival(requests);
-  serve_sim::LazyTraceSource source(generator, options.max_prefill_chunk);
-  serve_sim::SimCore core(*engine_, options, source);
-  return core.run(requests);
 }
 
 }  // namespace hybrimoe::runtime

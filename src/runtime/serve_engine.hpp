@@ -1,25 +1,15 @@
 #pragma once
 
 /// \file serve_engine.hpp
-/// Request-level serving on top of the offload runtime. The ServeEngine
-/// wraps an OffloadEngine with an admission queue and continuous batching:
-/// each step it composes a mixed batch — at most one prefill chunk (the
-/// earliest-admitted request still in Prefill) plus every active decode —
-/// merges the per-request routings into the combined per-layer expert
-/// multiset (workload::merge_forward_traces), and drives the wrapped
-/// engine's scheduler / cache / prefetcher machinery through it via
-/// OffloadEngine::run_step. The scheduling regime of a mixed step follows
-/// the token mass (sched::dominant_stage).
-///
-/// Time is the cost model's virtual clock: each composed step advances it by
-/// the step's simulated latency; idle gaps waiting for the next arrival
-/// advance it to that arrival.
+/// The request-level serving surface: the options, admission policies and
+/// step hooks of a serving run. The run itself is serve_sim::SimCore (see
+/// sim_core.hpp for the event loop and step composition), reached through
+/// ExperimentHarness::serve_stream.
 ///
 /// Admission is FIFO in (arrival, id) order with a `max_batch` cap by
 /// default, so no request starves: slots free as requests finish and the
 /// queue drains in order. Three opt-in policies layer on top (each is
-/// default-off and, when off, leaves the serving loop bit-identical to the
-/// plain FIFO engine):
+/// default-off and, when off, changes nothing):
 ///  * priority_admission — waiting requests are admitted highest tier first
 ///    (VIP > standard > best-effort), FIFO within a tier;
 ///  * per-tier admission control — a tier with a `ttft_deadline` rejects
@@ -36,7 +26,6 @@
 ///    valve).
 
 #include <array>
-#include <memory>
 #include <optional>
 #include <span>
 #include <vector>
@@ -77,8 +66,8 @@ struct StepInfo {
 /// Observation/perturbation points around every composed serving step — the
 /// seam the scenario fault drivers (scenario/drivers.hpp) plug into. All
 /// callbacks default to no-ops; ServeOptions::hook == nullptr skips them
-/// entirely (and keeps the single-part fast path, so hook-free serving is
-/// bit-identical to the pre-hook engine).
+/// entirely (and keeps the single-part fast path, which serves a one-part
+/// step's trace without copying it).
 class StepHook {
  public:
   virtual ~StepHook() = default;
@@ -130,9 +119,8 @@ struct TierPolicy {
 struct ServeOptions {
   /// Maximum concurrently active (admitted, unfinished) requests.
   std::size_t max_batch = 8;
-  /// Prompt chunk size: materialize_requests splits prompts into chunks of
-  /// at most this many tokens (0 = whole prompt in one step), and
-  /// ServeEngine::run enforces that the requests it is handed respect it.
+  /// Prompt chunk size: admitted requests' prompts are split into chunks of
+  /// at most this many tokens (0 = whole prompt in one step).
   std::size_t max_prefill_chunk = 0;
 
   /// Admit highest tier first (FIFO within a tier). Off: pure FIFO.
@@ -149,13 +137,13 @@ struct ServeOptions {
   /// Per-tier admission/SLO policy, indexed by workload::priority_index.
   std::array<TierPolicy, workload::kNumPriorities> tiers{};
   /// KV-cache memory accounting (serve_sim/kv.hpp). Disabled by default
-  /// (budget 0) — the serving loop is then bit-identical to the pre-KV
-  /// engine. When enabled, bytes_per_token must be resolved (derive it from
-  /// the model with serve_sim::model_kv_bytes_per_token) and every admission
-  /// reserves the request's full-context footprint against the budget.
+  /// (budget 0): nothing is reserved and nothing is shed for memory. When
+  /// enabled, bytes_per_token must be resolved (derive it from the model
+  /// with serve_sim::model_kv_bytes_per_token) and every admission reserves
+  /// the request's full-context footprint against the budget.
   serve_sim::KvSpec kv;
   /// Step observation/perturbation hook (scenario drivers). Not owned; must
-  /// outlive the run. nullptr = no hook (the bit-identical default).
+  /// outlive the run. nullptr = no hook.
   StepHook* hook = nullptr;
 
   /// \brief Throws std::invalid_argument on structurally invalid options.
@@ -167,49 +155,11 @@ struct ServeOptions {
 /// generate its prompt chunks and decode steps as one continuous latent
 /// process. Deterministic per request and independent of batch composition,
 /// so every framework serves byte-identical traffic and a request's routing
-/// doesn't change when the batching dynamics do.
+/// doesn't change when the batching dynamics do — these are exactly the
+/// traces a serve builds at admission.
+/// Benchmark-pinned surface: bench/e2e calls it, so its signature stays.
 [[nodiscard]] std::vector<Request> materialize_requests(
     workload::TraceGenerator& generator,
     std::span<const workload::RequestSpec> specs, std::size_t max_prefill_chunk = 0);
-
-/// Request-level serving loop over one OffloadEngine. Not internally
-/// synchronized: like the engine it wraps, a ServeEngine serves from one
-/// thread at a time — in Threaded execution mode the calling thread is the
-/// GPU lane of every composed step (see exec::HybridExecutor).
-class ServeEngine {
- public:
-  /// \brief Take ownership of the engine that will run every composed step.
-  explicit ServeEngine(std::unique_ptr<OffloadEngine> engine);
-
-  /// \brief The wrapped offload engine (caller's thread only).
-  [[nodiscard]] OffloadEngine& engine() noexcept { return *engine_; }
-  [[nodiscard]] const OffloadEngine& engine() const noexcept { return *engine_; }
-
-  /// \brief Serve the stream to completion. Requests must be freshly
-  /// materialised (Queued, cursors at zero, chunk/step counts matching their
-  /// specs); they are processed in (arrival, id) order (see request.hpp for
-  /// the tie-break rule). Returns per-request metrics in that order plus the
-  /// aggregate step metrics (including, in Threaded execution mode,
-  /// accumulated measured_latency/exec_digest); asserts that every request
-  /// ended terminal — finished with exactly its budgeted tokens, or rejected
-  /// by admission control with none.
-  [[nodiscard]] ServeMetrics run(std::vector<Request> requests,
-                                 const ServeOptions& options = {});
-
-  /// \brief Serve a stream of request *specs*, materialising each request's
-  /// routing traces lazily at admission and releasing them at terminal —
-  /// live trace memory is bounded by the batch size instead of the stream
-  /// length, which is what lets bench/load_sweep push 10^5-10^6 requests
-  /// through one run. Per-request traces are seeded from (generator seed,
-  /// request id), so the result is bit-identical to materialize_requests +
-  /// run on the same specs. The generator must outlive the call and is left
-  /// reset to the last served request's derived seed.
-  [[nodiscard]] ServeMetrics serve_stream(workload::TraceGenerator& generator,
-                                          std::span<const workload::RequestSpec> specs,
-                                          const ServeOptions& options = {});
-
- private:
-  std::unique_ptr<OffloadEngine> engine_;
-};
 
 }  // namespace hybrimoe::runtime

@@ -2,7 +2,7 @@
 
 /// \file serve_metrics.hpp
 /// Request-level serving measurements, the counterpart of StageMetrics for
-/// the ServeEngine: per-request TTFT / TBT / E2E and queueing delay, plus
+/// a serving run: per-request TTFT / TBT / E2E and queueing delay, plus
 /// stream aggregates (throughput, tail percentiles via util/stats, goodput
 /// under a TBT SLO). Same contract style as StageMetrics::tbt_mean() — any
 /// accessor whose value would be a 0/0 is guarded by a precondition instead
@@ -11,12 +11,10 @@
 /// Tier awareness: every RequestMetrics carries its priority, and each
 /// distribution accessor takes an optional tier filter so tables can report
 /// per-tier p50/p95/p99 (the tier-isolation invariant compares VIP tails
-/// across load levels). The unfiltered aggregates iterate the same requests
-/// in the same order as before tiers existed, so a single-tier stream's
-/// aggregate numbers are bit-identical to pre-tier output. Rejected
-/// requests (deadline/queue-pressure admission control) are recorded but
-/// excluded from every latency distribution — they have no tokens to
-/// measure.
+/// across load levels); the unfiltered aggregates iterate every request in
+/// arrival order. Rejected requests (deadline/queue-pressure admission
+/// control) are recorded but excluded from every latency distribution —
+/// they have no tokens to measure.
 
 #include <cstdint>
 #include <optional>
@@ -72,8 +70,8 @@ struct RequestMetrics {
   }
 };
 
-/// Aggregate result of one ServeEngine::run: every request's metrics (in
-/// arrival order, all terminal — the engine asserts each is finished or
+/// Aggregate result of one serving run: every request's metrics (in
+/// arrival order, all terminal — the core asserts each is finished or
 /// rejected), the summed engine counters over the composed steps, and the
 /// serving clock.
 struct ServeMetrics {
@@ -90,8 +88,7 @@ struct ServeMetrics {
   double makespan = 0.0;
 
   /// KV-cache accounting outcome of the run. All zeros when accounting is
-  /// disabled — consumers that predate KV see the same JSON they always did
-  /// because emitters only write this block when budget_bytes > 0.
+  /// disabled; emitters only write this block when budget_bytes > 0.
   struct KvSummary {
     double budget_bytes = 0.0;   ///< enforced budget
     double peak_bytes = 0.0;     ///< high-water mark of reserved KV

@@ -1,5 +1,7 @@
 #include "runtime/session.hpp"
 
+#include "serve_sim/sim_core.hpp"
+
 namespace hybrimoe::runtime {
 
 namespace {
@@ -73,30 +75,12 @@ StageMetrics ExperimentHarness::run_decode(const StackSpec& stack, std::size_t s
   return build(stack)->run_decode(decode_trace(steps));
 }
 
-std::vector<Request> ExperimentHarness::materialize(
-    std::span<const workload::RequestSpec> requests, std::size_t max_prefill_chunk) {
-  return materialize_requests(generator_, requests, max_prefill_chunk);
-}
-
-ServeMetrics ExperimentHarness::serve(const StackSpec& stack,
-                                      std::span<const workload::RequestSpec> requests,
-                                      const ServeOptions& options) {
-  return serve(stack, materialize(requests, options.max_prefill_chunk), options);
-}
-
-ServeMetrics ExperimentHarness::serve(const StackSpec& stack,
-                                      std::vector<Request> requests,
-                                      const ServeOptions& options) {
-  ServeEngine engine(build(stack));
-  return engine.run(std::move(requests), resolved_serve_options(stack, options));
-}
-
 ServeMetrics ExperimentHarness::serve_stream(
     const StackSpec& stack, std::span<const workload::RequestSpec> requests,
     const ServeOptions& options) {
-  ServeEngine engine(build(stack));
-  return engine.serve_stream(generator_, requests,
-                             resolved_serve_options(stack, options));
+  const std::unique_ptr<OffloadEngine> engine = build(stack);
+  const ServeOptions resolved = resolved_serve_options(stack, options);
+  return serve_sim::SimCore(*engine, resolved, generator_).run(requests);
 }
 
 ServeOptions ExperimentHarness::resolved_serve_options(const StackSpec& stack,

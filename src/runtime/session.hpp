@@ -12,8 +12,8 @@
 ///    cache.
 ///
 /// run_prefill/run_decode run one shared stage trace on a freshly built
-/// OffloadEngine; serve() runs a full request stream with continuous
-/// batching on a ServeEngine under the same fairness rules — identical
+/// OffloadEngine; serve_stream runs a full request stream with continuous
+/// batching (serve_sim::SimCore) under the same fairness rules — identical
 /// per-request traces and warmup for every framework.
 
 #include <map>
@@ -93,29 +93,13 @@ class ExperimentHarness {
   /// One request over the shared decode trace, on a freshly built engine.
   [[nodiscard]] StageMetrics run_decode(const StackSpec& spec, std::size_t steps);
 
-  // -- Request-level serving runners ---------------------------------------
-  /// Materialise request traces deterministically from this harness's
-  /// generator — identical for every stack (same fairness rule as the
-  /// stage experiments). Sweeps comparing stacks at one load should
-  /// materialise once and hand each serve() call a copy.
-  [[nodiscard]] std::vector<Request> materialize(
-      std::span<const workload::RequestSpec> requests,
-      std::size_t max_prefill_chunk = 0);
-
+  // -- Request-level serving runner ----------------------------------------
   /// Serve a request stream with continuous batching on a freshly built
-  /// engine (materialises traces internally).
-  [[nodiscard]] ServeMetrics serve(const StackSpec& spec,
-                                   std::span<const workload::RequestSpec> requests,
-                                   const ServeOptions& options = {});
-  /// Serve pre-materialised requests (from materialize()).
-  [[nodiscard]] ServeMetrics serve(const StackSpec& spec, std::vector<Request> requests,
-                                   const ServeOptions& options = {});
-
-  /// Serve a request stream with *lazy* trace materialisation — traces are
-  /// produced at admission and freed at terminal, so live memory is bounded
-  /// by the batch instead of the stream (bench/load_sweep's 10^5-10^6
-  /// request runs). Bit-identical to serve() on the same specs: per-request
-  /// traces derive from (harness seed, request id) either way.
+  /// engine. Each request's traces are materialised from this harness's
+  /// generator when it is admitted and freed when it finishes, so live
+  /// memory is bounded by the batch instead of the stream. Traces derive
+  /// from (harness seed, request id), so every stack served the same specs
+  /// sees identical traffic (the fairness rule of the stage experiments).
   [[nodiscard]] ServeMetrics serve_stream(
       const StackSpec& spec, std::span<const workload::RequestSpec> requests,
       const ServeOptions& options = {});
@@ -123,7 +107,7 @@ class ExperimentHarness {
   /// Serving options with the stack's declarative "kv" section applied: the
   /// spec's KvSpec (if any) overrides options.kv, and a bytes_per_token of 0
   /// resolves from this harness's model (serve_sim::model_kv_bytes_per_token).
-  /// Every serve runner above applies it.
+  /// serve_stream applies it.
   [[nodiscard]] ServeOptions resolved_serve_options(const StackSpec& spec,
                                                     ServeOptions options) const;
 

@@ -27,13 +27,11 @@
 /// timelines it records; the same spec over the same stream reproduces the
 /// same timelines exactly.
 ///
-/// Since the serving core went event-driven the driver also records the
-/// simulation's *event* timeline (on_sim_event): every arrival, per-part
-/// completion, transfer landing, finish and KV eviction the core pops, in
-/// (time, seq) order — the raw feed the per-step StepRecords are a rollup
-/// of. Scenario drivers observe events; they still perturb runs through the
-/// before_step/transform_step seams, which keeps hook-free serving
-/// bit-identical.
+/// The driver also records the simulation's *event* timeline
+/// (on_sim_event): every arrival, per-part completion, transfer landing,
+/// finish and KV eviction the core pops, in (time, seq) order — the raw
+/// feed the per-step StepRecords are a rollup of. Scenario drivers observe
+/// events; they perturb runs through the before_step/transform_step seams.
 ///
 /// Recording is delegated to a trace::Recorder — the same machinery behind
 /// `hybrimoe_run --trace` — so scenario timelines and streamed traces are

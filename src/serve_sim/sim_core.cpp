@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "serve_sim/trace_source.hpp"
 #include "util/assert.hpp"
 
 namespace hybrimoe::serve_sim {
@@ -11,15 +12,28 @@ using runtime::RequestMetrics;
 using runtime::RequestState;
 using runtime::TierPolicy;
 
+namespace {
+
+/// The (arrival, id) serving order — the tie-break rule documented in
+/// request.hpp.
+bool arrives_before(const Request& a, const Request& b) {
+  if (a.spec.arrival_time != b.spec.arrival_time)
+    return a.spec.arrival_time < b.spec.arrival_time;
+  return a.spec.id < b.spec.id;
+}
+
+}  // namespace
+
 SimCore::SimCore(runtime::OffloadEngine& engine,
-                 const runtime::ServeOptions& options, TraceSource& source)
-    : engine_(engine), options_(options), source_(source) {
+                 const runtime::ServeOptions& options,
+                 workload::TraceGenerator& generator)
+    : engine_(engine), options_(options), generator_(generator) {
   options_.validate();
   if (options_.kv.enabled()) accountant_.emplace(options_.kv);
 }
 
 std::size_t SimCore::index_of(const Request* r) const {
-  return static_cast<std::size_t>(r - requests_->data());
+  return static_cast<std::size_t>(r - requests_.data());
 }
 
 double SimCore::footprint(const Request& r) const {
@@ -42,28 +56,32 @@ void SimCore::reject(Request& r) {
   ++rejected_total_;
 }
 
-runtime::ServeMetrics SimCore::run(std::vector<Request>& requests) {
-  HYBRIMOE_REQUIRE(!requests.empty(), "serving an empty request stream");
-  requests_ = &requests;
-  metrics_.requests.resize(requests.size());
-  for (std::size_t i = 0; i < requests.size(); ++i) {
+runtime::ServeMetrics SimCore::run(std::span<const workload::RequestSpec> specs) {
+  HYBRIMOE_REQUIRE(!specs.empty(), "serving an empty request stream");
+  requests_.reserve(specs.size());
+  for (const workload::RequestSpec& spec : specs) {
+    HYBRIMOE_REQUIRE(spec.prompt_tokens + spec.decode_tokens > 0,
+                     "request has no tokens");
+    HYBRIMOE_REQUIRE(spec.arrival_time >= 0.0, "arrival time must be non-negative");
+    requests_.emplace_back().spec = spec;
+  }
+  std::stable_sort(requests_.begin(), requests_.end(), arrives_before);
+  metrics_.requests.resize(requests_.size());
+  for (std::size_t i = 0; i < requests_.size(); ++i) {
     RequestMetrics& m = metrics_.requests[i];
-    m.id = requests[i].spec.id;
-    m.priority = requests[i].spec.priority;
-    m.arrival = requests[i].spec.arrival_time;
-    m.prompt_tokens = requests[i].spec.prompt_tokens;
+    m.id = requests_[i].spec.id;
+    m.priority = requests_[i].spec.priority;
+    m.arrival = requests_[i].spec.arrival_time;
+    m.prompt_tokens = requests_[i].spec.prompt_tokens;
   }
   engine_.reset_cache_stats();
 
   // Seed the heap with every arrival. Requests are (arrival, id)-sorted, so
   // the monotone seq reproduces that order for simultaneous arrivals.
-  for (std::size_t i = 0; i < requests.size(); ++i) {
-    HYBRIMOE_REQUIRE(requests[i].spec.arrival_time >= 0.0,
-                     "arrival time must be non-negative");
-    heap_.push(EventKind::Arrival, requests[i].spec.arrival_time, i);
-  }
+  for (std::size_t i = 0; i < requests_.size(); ++i)
+    heap_.push(EventKind::Arrival, requests_[i].spec.arrival_time, i);
 
-  while (terminal_ < requests.size()) {
+  while (terminal_ < requests_.size()) {
     // Drain: apply every event at or before the clock, in (time, seq) order.
     if (!heap_.empty() && heap_.top().time <= clock_) {
       handle(heap_.pop());
@@ -72,7 +90,7 @@ runtime::ServeMetrics SimCore::run(std::vector<Request>& requests) {
     // Dispatch: with no step in flight, admit and compose the next one.
     if (!step_in_flight_) {
       if (try_dispatch()) continue;
-      if (terminal_ == requests.size()) break;  // everything rejected
+      if (terminal_ == requests_.size()) break;  // everything rejected
       HYBRIMOE_ASSERT(!heap_.empty(), "serve loop stalled");
     }
     // Idle (or a step in flight): advance to the next scheduled event.
@@ -92,8 +110,8 @@ runtime::ServeMetrics SimCore::run(std::vector<Request>& requests) {
 
   // Terminal accounting: every request either ran to completion with
   // exactly its budgeted tokens, or was rejected and emitted none.
-  for (std::size_t i = 0; i < requests.size(); ++i) {
-    const Request& r = requests[i];
+  for (std::size_t i = 0; i < requests_.size(); ++i) {
+    const Request& r = requests_[i];
     metrics_.requests[i].evictions = r.evictions;
     if (r.state == RequestState::Rejected) {
       HYBRIMOE_ASSERT(metrics_.requests[i].generated_tokens == 0,
@@ -133,7 +151,7 @@ void SimCore::handle(const Event& event) {
 }
 
 void SimCore::on_arrival(const Event& event) {
-  Request& r = (*requests_)[event.request];
+  Request& r = requests_[event.request];
   // A request whose total token budget exceeds the context window is
   // rejected outright — it could never be scheduled. Same for a KV
   // footprint above the whole budget.
@@ -151,12 +169,11 @@ void SimCore::on_arrival(const Event& event) {
 }
 
 void SimCore::on_prefill_chunk(const Event& event) {
-  Request& r = (*requests_)[event.request];
+  Request& r = requests_[event.request];
   ++r.next_chunk;
   if (r.next_chunk == r.prefill_chunks.size()) {
     // Prompt fully processed: the first output token is ready.
     RequestMetrics& m = metrics_.requests[event.request];
-    r.first_token_time = clock_;
     r.last_token_time = clock_;
     m.first_token = clock_;
     ++m.generated_tokens;
@@ -164,7 +181,6 @@ void SimCore::on_prefill_chunk(const Event& event) {
       r.state = RequestState::Decode;
     } else {
       r.state = RequestState::Finished;
-      r.finish_time = clock_;
       m.finish = clock_;
       ++terminal_;
       heap_.push(EventKind::Finish, clock_, event.request);
@@ -174,11 +190,10 @@ void SimCore::on_prefill_chunk(const Event& event) {
 }
 
 void SimCore::on_decode_step(const Event& event) {
-  Request& r = (*requests_)[event.request];
+  Request& r = requests_[event.request];
   RequestMetrics& m = metrics_.requests[event.request];
   if (r.prefill_chunks.empty() && r.next_step == 0) {
     // Promptless session: its first decode token is its first token.
-    r.first_token_time = clock_;
     m.first_token = clock_;
   } else {
     m.tbt.push_back(clock_ - r.last_token_time);
@@ -188,7 +203,6 @@ void SimCore::on_decode_step(const Event& event) {
   ++r.next_step;
   if (r.next_step == r.decode.num_steps()) {
     r.state = RequestState::Finished;
-    r.finish_time = clock_;
     m.finish = clock_;
     ++terminal_;
     heap_.push(EventKind::Finish, clock_, event.request);
@@ -197,11 +211,14 @@ void SimCore::on_decode_step(const Event& event) {
 }
 
 void SimCore::on_finish(const Event& event) {
-  Request& r = (*requests_)[event.request];
+  Request& r = requests_[event.request];
   HYBRIMOE_ASSERT(r.state == RequestState::Finished, "finish event for a live request");
   if (accountant_.has_value()) accountant_->release(footprint(r));
   std::erase(active_, &r);
-  source_.release(r);
+  // Free the traces: only the spec and the metrics outlive the request.
+  r.prefill_chunks.clear();
+  r.prefill_chunks.shrink_to_fit();
+  r.decode = workload::DecodeTrace{};
 }
 
 void SimCore::step_event_done() {
@@ -274,8 +291,9 @@ void SimCore::admit_waiting() {
     // Erase by value: evict_for may have requeued victims *before* `pick`,
     // so the index no longer identifies r.
     std::erase(waiting_, &r);
-    source_.acquire(r);
-    r.admit_time = clock_;
+    // Re-admission after an eviction keeps the traces already built.
+    if (r.prefill_chunks.empty() && r.decode.num_steps() == 0)
+      materialize_request(generator_, r, options_.max_prefill_chunk);
     r.state = r.prefill_chunks.empty() ? RequestState::Decode : RequestState::Prefill;
     metrics_.requests[index_of(&r)].admit = clock_;
     active_.push_back(&r);
@@ -311,12 +329,10 @@ void SimCore::evict_one(Request& victim) {
   // Discard progress: the victim restarts from its first chunk when it is
   // re-admitted, and its emitted tokens are forgotten (the terminal token
   // conservation assert still holds — it will re-emit its full budget).
-  if (victim.state == RequestState::Preempted) victim.resume(clock_);
+  if (victim.state == RequestState::Preempted) victim.resume();
   victim.state = RequestState::Queued;
   victim.next_chunk = 0;
   victim.next_step = 0;
-  victim.admit_time = 0.0;
-  victim.first_token_time = 0.0;
   victim.last_token_time = 0.0;
   victim.preempt_streak = 0;
   ++victim.evictions;
@@ -328,11 +344,7 @@ void SimCore::evict_one(Request& victim) {
   // Requeue at the (arrival, id) position so queue-order invariants hold.
   const auto pos = std::lower_bound(
       waiting_.begin(), waiting_.end(), &victim,
-      [](const Request* a, const Request* b) {
-        if (a->spec.arrival_time != b->spec.arrival_time)
-          return a->spec.arrival_time < b->spec.arrival_time;
-        return a->spec.id < b->spec.id;
-      });
+      [](const Request* a, const Request* b) { return arrives_before(*a, *b); });
   waiting_.insert(pos, &victim);
   ++kv_evictions_;
   heap_.push(EventKind::Evict, clock_, index);
@@ -378,12 +390,12 @@ bool SimCore::try_dispatch() {
   }
   if (candidate != nullptr) {
     if (defer) {
-      if (candidate->state == RequestState::Prefill) candidate->preempt(clock_);
+      if (candidate->state == RequestState::Prefill) candidate->preempt();
       ++candidate->preempt_streak;
       ++preemptions_total_;
       metrics_.requests[index_of(candidate)].preemptions = candidate->preemptions;
     } else if (candidate->state == RequestState::Preempted) {
-      candidate->resume(clock_);
+      candidate->resume();
     }
   }
 

@@ -7,47 +7,62 @@
 /// landings, finishes, and KV-pressure evictions all live on one EventHeap
 /// ordered by (time, seq). The loop alternates two moves — *drain* every
 /// event at or before the clock, then *dispatch* a composed step through
-/// OffloadEngine::run_step when none is in flight — and the drain/dispatch
-/// order reproduces the legacy lockstep ServeEngine loop operation for
-/// operation, so a run with KV accounting disabled is bit-identical to the
-/// pre-event engine (the regression test byte-diffs hybrimoe_run artifacts).
+/// OffloadEngine::run_step when none is in flight.
 ///
-/// What the event formulation adds over the lockstep loop:
-///  * KV-cache admission control (serve_sim/kv.hpp) — reserve-on-admit,
-///    release-on-terminal, with queue / reject / evict-and-requeue policies
-///    layered on the existing tier machinery;
-///  * an event feed (StepHook::on_sim_event) scenario drivers record instead
-///    of inferring timelines from per-step deltas;
-///  * TraceSource-driven lazy materialisation, bounding trace memory by the
-///    batch size so one run can carry 10^5-10^6 requests (bench/load_sweep).
+/// Each composed step carries at most one prefill chunk (the
+/// earliest-admitted request still prefilling) plus every active decode; the
+/// per-request routings merge into one per-layer expert multiset
+/// (workload::merge_forward_traces) and the step's scheduling regime follows
+/// the token mass (sched::dominant_stage). Time is the cost model's virtual
+/// clock: a step advances it by its modeled latency, an idle gap advances it
+/// to the next arrival.
+///
+/// On top of that loop sit KV-cache admission control (serve_sim/kv.hpp) —
+/// reserve-on-admit, release-on-terminal, with queue / reject /
+/// evict-and-requeue policies layered on the tier machinery — and the event
+/// feed (StepHook::on_sim_event) scenario drivers record timelines from.
+///
+/// Routing traces are materialised when a request is admitted and freed
+/// when it finishes, so live trace memory is bounded by the batch size
+/// instead of the stream length (bench/load_sweep carries 10^5-10^6
+/// requests through one run). Per-request traces derive from (generator
+/// seed, request id), so every stack serves byte-identical traffic.
 
 #include <cstddef>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "runtime/serve_engine.hpp"
 #include "serve_sim/event.hpp"
 #include "serve_sim/kv.hpp"
-#include "serve_sim/trace_source.hpp"
+#include "workload/generator.hpp"
 
 namespace hybrimoe::serve_sim {
 
 /// One serving run as a discrete-event simulation. A SimCore is single-use:
-/// construct, call run() once, read the metrics. The caller owns the request
-/// vector (sorted by (arrival, id), every request Queued with cursors at
-/// zero) and the trace source decides whether traces are pre-materialised or
-/// produced lazily at admission.
+/// construct, call run() once, read the metrics. Not internally
+/// synchronized: in Threaded execution mode the calling thread is the GPU
+/// lane of every composed step (see exec::HybridExecutor).
 class SimCore {
  public:
-  /// \brief Bind the run to its engine, validated options, and trace source
-  /// (all must outlive the run).
+  /// \brief Bind the run to its engine, its options (validated here; throws
+  /// std::invalid_argument) and the generator that materialises each
+  /// admitted request's traces. All three must outlive the run.
   SimCore(runtime::OffloadEngine& engine, const runtime::ServeOptions& options,
-          TraceSource& source);
+          workload::TraceGenerator& generator);
 
-  /// \brief Serve the stream to completion and return its metrics. Asserts
-  /// every request ends terminal and (when KV accounting is enabled) every
-  /// reservation was returned.
-  [[nodiscard]] runtime::ServeMetrics run(std::vector<runtime::Request>& requests);
+  /// \brief Serve the stream to completion. Requests are processed in
+  /// (arrival, id) order (see request.hpp for the tie-break rule); throws
+  /// std::invalid_argument on an empty stream, a request with no tokens or
+  /// a negative arrival time. Returns per-request metrics in that order plus
+  /// the aggregate step metrics (including, in Threaded execution mode,
+  /// accumulated measured_latency/exec_digest); asserts that every request
+  /// ended terminal — finished with exactly its budgeted tokens, or rejected
+  /// by admission control with none — and that every KV reservation was
+  /// returned. The generator is left where the last materialised request's
+  /// traces ended.
+  [[nodiscard]] runtime::ServeMetrics run(std::span<const workload::RequestSpec> specs);
 
  private:
   void handle(const Event& event);
@@ -72,9 +87,11 @@ class SimCore {
 
   runtime::OffloadEngine& engine_;
   const runtime::ServeOptions& options_;
-  TraceSource& source_;
+  workload::TraceGenerator& generator_;
 
-  std::vector<runtime::Request>* requests_ = nullptr;
+  // (arrival, id) order; sized once in run(), so the Request* queues below
+  // stay valid for the whole run.
+  std::vector<runtime::Request> requests_;
   runtime::ServeMetrics metrics_;
   EventHeap heap_;
   double clock_ = 0.0;

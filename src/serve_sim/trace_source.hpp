@@ -1,16 +1,10 @@
 #pragma once
 
 /// \file trace_source.hpp
-/// Where a simulated request's routing traces come from. The sim core is
-/// agnostic: a PrematerializedSource serves requests whose traces were built
-/// up front (the classic ServeEngine::run path — every trace lives for the
-/// whole run), while a LazyTraceSource materialises a request's traces at
-/// admission and frees them when the request goes terminal, bounding live
-/// trace memory by the batch size instead of the stream length. Lazy
-/// materialisation is what lets the load harness push 10^5-10^6 requests
-/// through one run: per-request traces are seeded from (stream seed,
-/// request id) independently of batch composition, so the lazy path is
-/// bit-identical to materialising everything up front.
+/// Where a simulated request's routing traces come from. SimCore calls
+/// materialize_request when it admits a request and frees the traces when
+/// the request finishes; runtime::materialize_requests builds a whole
+/// stream's traces up front for callers that need them outside a serve.
 
 #include <cstddef>
 
@@ -28,55 +22,5 @@ namespace hybrimoe::serve_sim {
 void materialize_request(workload::TraceGenerator& generator,
                          runtime::Request& request,
                          std::size_t max_prefill_chunk = 0);
-
-/// Supplies (and reclaims) the routing traces of requests entering and
-/// leaving a simulated serving run.
-class TraceSource {
- public:
-  virtual ~TraceSource() = default;
-  /// \brief Called when `request` is admitted (including re-admission after
-  /// an eviction); must leave its traces consistent with its spec.
-  virtual void acquire(runtime::Request& request) = 0;
-  /// \brief Called when `request` goes terminal; may free its traces.
-  virtual void release(runtime::Request& request) = 0;
-};
-
-/// Requests arrive with their traces already materialised; nothing to do.
-class PrematerializedSource final : public TraceSource {
- public:
-  /// \brief No-op: the traces were validated by the caller.
-  void acquire(runtime::Request& request) override { (void)request; }
-  /// \brief No-op: the caller owns the request vector's lifetime.
-  void release(runtime::Request& request) override { (void)request; }
-};
-
-/// Materialises traces on first admission and frees them at terminal — the
-/// bounded-memory source behind ServeEngine::serve_stream.
-class LazyTraceSource final : public TraceSource {
- public:
-  /// \brief Bind the source to the run's generator (must outlive it) and
-  /// the serving loop's prefill chunking.
-  LazyTraceSource(workload::TraceGenerator& generator,
-                  std::size_t max_prefill_chunk)
-      : generator_(generator), max_prefill_chunk_(max_prefill_chunk) {}
-
-  /// \brief Materialise the request's traces unless they are already live
-  /// (re-admission after an eviction keeps them).
-  void acquire(runtime::Request& request) override {
-    if (request.prefill_chunks.empty() && request.decode.num_steps() == 0)
-      materialize_request(generator_, request, max_prefill_chunk_);
-  }
-
-  /// \brief Free the request's traces; only its spec and metrics remain.
-  void release(runtime::Request& request) override {
-    request.prefill_chunks.clear();
-    request.prefill_chunks.shrink_to_fit();
-    request.decode = workload::DecodeTrace{};
-  }
-
- private:
-  workload::TraceGenerator& generator_;
-  std::size_t max_prefill_chunk_;
-};
 
 }  // namespace hybrimoe::serve_sim

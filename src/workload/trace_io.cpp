@@ -1,5 +1,7 @@
 #include "workload/trace_io.hpp"
 
+#include <charconv>
+#include <cstdint>
 #include <fstream>
 #include <iomanip>
 #include <sstream>
@@ -42,18 +44,38 @@ std::string expect_token(std::istream& is, const std::string& expected) {
   return token;
 }
 
+/// A count: decimal digits only — no sign, which would otherwise wrap to a
+/// huge unsigned value — and in range of T.
+template <typename T = std::size_t>
+T parse_count(const std::string& text, const std::string& what) {
+  T value{};
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc{} || ptr != end)
+    malformed("bad " + what + " '" + text + "'");
+  return value;
+}
+
+template <typename T = std::size_t>
+T read_count(std::istream& is, const std::string& what) {
+  std::string token;
+  if (!(is >> token)) malformed("unexpected end of input, wanted " + what);
+  return parse_count<T>(token, what);
+}
+
 std::size_t expect_kv(std::istream& is, const std::string& key) {
   std::string token;
   if (!(is >> token)) malformed("unexpected end of input, wanted " + key);
   const auto eq = token.find('=');
   if (eq == std::string::npos || token.substr(0, eq) != key)
     malformed("expected " + key + "=<n>, got '" + token + "'");
-  try {
-    return std::stoull(token.substr(eq + 1));
-  } catch (const std::exception&) {
-    malformed("bad number in '" + token + "'");
-  }
+  return parse_count(token.substr(eq + 1), key);
 }
+
+// Counts read from the input are never used to size a vector up front: a
+// corrupted count would turn into a huge allocation. Vectors grow as their
+// records parse, and a count larger than the data ends in "unexpected end
+// of input".
 
 moe::LayerRouting read_routing(std::istream& is) {
   expect_token(is, "routing");
@@ -61,13 +83,14 @@ moe::LayerRouting read_routing(std::istream& is) {
   routing.total_tokens = expect_kv(is, "tokens");
   const std::size_t experts = expect_kv(is, "experts");
   expect_token(is, "loads");
-  routing.loads.resize(experts);
-  for (auto& l : routing.loads)
-    if (!(is >> l)) malformed("truncated loads");
+  for (std::size_t e = 0; e < experts; ++e)
+    routing.loads.push_back(read_count<std::uint32_t>(is, "load"));
   expect_token(is, "scores");
-  routing.scores.resize(experts);
-  for (auto& s : routing.scores)
-    if (!(is >> s)) malformed("truncated scores");
+  for (std::size_t e = 0; e < experts; ++e) {
+    float score = 0.0F;
+    if (!(is >> score)) malformed("truncated scores");
+    routing.scores.push_back(score);
+  }
   return routing;
 }
 
@@ -76,18 +99,14 @@ ForwardTrace read_forward(std::istream& is) {
   ForwardTrace forward;
   forward.tokens = expect_kv(is, "tokens");
   const std::size_t layers = expect_kv(is, "layers");
-  forward.layers.reserve(layers);
-  forward.predictions.resize(layers);
   for (std::size_t l = 0; l < layers; ++l) {
     expect_token(is, "layer");
-    std::size_t index = 0;
-    if (!(is >> index) || index != l) malformed("layer index mismatch");
+    if (read_count(is, "layer index") != l) malformed("layer index mismatch");
     forward.layers.push_back(read_routing(is));
     expect_token(is, "predictions");
-    std::size_t count = 0;
-    if (!(is >> count)) malformed("missing prediction count");
-    for (std::size_t d = 0; d < count; ++d)
-      forward.predictions[l].push_back(read_routing(is));
+    const std::size_t count = read_count(is, "prediction count");
+    auto& predictions = forward.predictions.emplace_back();
+    for (std::size_t d = 0; d < count; ++d) predictions.push_back(read_routing(is));
   }
   return forward;
 }
@@ -121,10 +140,8 @@ void write_trace(std::ostream& os, const PrefillTrace& trace) {
 DecodeTrace read_decode_trace(std::istream& is) {
   read_header(is, "decode");
   expect_token(is, "steps");
-  std::size_t steps = 0;
-  if (!(is >> steps)) malformed("missing step count");
+  const std::size_t steps = read_count(is, "step count");
   DecodeTrace trace;
-  trace.steps.reserve(steps);
   for (std::size_t s = 0; s < steps; ++s) trace.steps.push_back(read_forward(is));
   return trace;
 }
@@ -133,7 +150,7 @@ PrefillTrace read_prefill_trace(std::istream& is) {
   read_header(is, "prefill");
   expect_token(is, "prompt");
   PrefillTrace trace;
-  if (!(is >> trace.prompt_tokens)) malformed("missing prompt length");
+  trace.prompt_tokens = read_count(is, "prompt length");
   trace.forward = read_forward(is);
   return trace;
 }

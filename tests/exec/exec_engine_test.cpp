@@ -157,10 +157,10 @@ TEST(ExecEngine, ServingPathCarriesDigestsThroughContinuousBatching) {
   ExperimentHarness harness(tiny_spec());
   harness.set_execution(exec::ExecutionMode::Simulated,
                         std::make_shared<exec::HybridExecutor>(exec_options(1)));
-  const auto simulated = harness.serve(preset_spec(Framework::HybriMoE), specs);
+  const auto simulated = harness.serve_stream(preset_spec(Framework::HybriMoE), specs);
   harness.set_execution(exec::ExecutionMode::Threaded,
                         std::make_shared<exec::HybridExecutor>(exec_options(4)));
-  const auto threaded = harness.serve(preset_spec(Framework::HybriMoE), specs);
+  const auto threaded = harness.serve_stream(preset_spec(Framework::HybriMoE), specs);
 
   ASSERT_NE(simulated.steps.exec_digest, 0u);
   EXPECT_EQ(threaded.steps.exec_digest, simulated.steps.exec_digest);

@@ -7,10 +7,10 @@
 ///    on a fresh engine built without warmup frequencies;
 ///  * every Table III ablation variant plus a tweaked full config: prefill
 ///    then decode on one engine;
-///  * eight serving streams through ServeEngine: FIFO, chunked under a tight
-///    batch cap, burst, diurnal, priority tiers with an SLO, admission-control
-///    rejection, spaced tiers that trigger preemption, and tier-queue
-///    overflow.
+///  * eight serving streams through ExperimentHarness::serve_stream: FIFO,
+///    chunked under a tight batch cap, burst, diurnal, priority tiers with
+///    an SLO, admission-control rejection, spaced tiers that trigger
+///    preemption, and tier-queue overflow.
 ///
 /// Usage: pinned_metrics > out.jsonl  (no arguments).
 
@@ -20,7 +20,6 @@
 #include <vector>
 
 #include "runtime/frameworks.hpp"
-#include "runtime/serve_engine.hpp"
 #include "runtime/session.hpp"
 #include "util/json_writer.hpp"
 #include "workload/generator.hpp"
@@ -149,11 +148,9 @@ void print_serve(const std::string& label, const workload::RequestStreamParams& 
   spec.trace.seed = 91;
   spec.warmup_steps = 8;
   runtime::ExperimentHarness harness(spec);
-  const auto requests = harness.materialize(workload::generate_request_stream(params),
-                                            options.max_prefill_chunk);
-  runtime::ServeEngine engine(
-      harness.build(runtime::preset_spec(runtime::Framework::HybriMoE)));
-  const runtime::ServeMetrics m = engine.run(requests, options);
+  const runtime::ServeMetrics m =
+      harness.serve_stream(runtime::preset_spec(runtime::Framework::HybriMoE),
+                           workload::generate_request_stream(params), options);
 
   JsonWriter::Inline line(std::cout);
   line.field("case").string("serve " + label);

@@ -239,10 +239,11 @@ TEST(PaperShapesTest, HybriMoEStepMakespanNeverExceedsOnDemandUnderLoad) {
   stream.seed = 20250408;
   for (const double rate : {0.5, 1.0, 2.0}) {
     stream.arrival_rate = rate;
-    // Traces are stack-independent: materialise once, serve copies.
-    const auto requests = harness.materialize(workload::generate_request_stream(stream));
+    // Traces derive from (seed, request id): every stack serves the same
+    // traffic.
+    const auto specs = workload::generate_request_stream(stream);
     const auto mean_step_makespan = [&](Framework framework) {
-      const ServeMetrics m = harness.serve(preset_spec(framework), requests);
+      const ServeMetrics m = harness.serve_stream(preset_spec(framework), specs);
       return m.steps.total_latency / static_cast<double>(m.steps.per_forward.size());
     };
     EXPECT_LE(mean_step_makespan(Framework::HybriMoE),

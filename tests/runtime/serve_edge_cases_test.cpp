@@ -38,13 +38,14 @@ TEST(ServeEdgeCasesTest, ArrivalExactlyAtAStepBoundaryIsAdmittedThatInstant) {
   // equality is exact — same floats, not an epsilon.
   const auto first = make_request(0, 0.0, 4, 6);
   ExperimentHarness probe(tiny_spec());
-  const auto solo = probe.serve(preset_spec(Framework::HybriMoE), std::vector{first});
+  const auto solo =
+      probe.serve_stream(preset_spec(Framework::HybriMoE), std::vector{first});
   const double boundary = solo.requests[0].first_token;
 
   const std::vector<workload::RequestSpec> specs{
       first, make_request(1, boundary, 4, 3)};
   ExperimentHarness harness(tiny_spec());
-  const auto m = harness.serve(preset_spec(Framework::HybriMoE), specs);
+  const auto m = harness.serve_stream(preset_spec(Framework::HybriMoE), specs);
   EXPECT_EQ(m.requests[1].arrival, boundary);
   EXPECT_EQ(m.requests[1].admit, boundary);
   EXPECT_DOUBLE_EQ(m.requests[1].queueing_delay(), 0.0);
@@ -62,7 +63,7 @@ TEST(ServeEdgeCasesTest, AllRequestsOverContextBudgetRejectsWithoutStepping) {
   ServeOptions options;
   options.max_context_tokens = 8;  // every prompt + decode budget is larger
   ExperimentHarness harness(tiny_spec());
-  const auto m = harness.serve(preset_spec(Framework::HybriMoE), specs, options);
+  const auto m = harness.serve_stream(preset_spec(Framework::HybriMoE), specs, options);
   EXPECT_EQ(m.rejected_count(), specs.size());
   EXPECT_EQ(m.finished_count(), 0U);
   EXPECT_TRUE(m.steps.per_forward.empty());  // no step ever composed
@@ -82,7 +83,7 @@ TEST(ServeEdgeCasesTest, ContextBudgetRejectsOnlyTheOversizedRequests) {
   ServeOptions options;
   options.max_context_tokens = 8;
   ExperimentHarness harness(tiny_spec());
-  const auto m = harness.serve(preset_spec(Framework::HybriMoE), specs, options);
+  const auto m = harness.serve_stream(preset_spec(Framework::HybriMoE), specs, options);
   EXPECT_EQ(m.rejected_count(), 1U);
   EXPECT_TRUE(m.requests[1].rejected);
   EXPECT_EQ(m.finished_count(), 2U);
@@ -101,7 +102,7 @@ TEST(ServeEdgeCasesTest, SimultaneousArrivalsServeInIdOrderRegardlessOfInput) {
 
   const auto serve_order = [&](std::vector<workload::RequestSpec> order) {
     ExperimentHarness harness(tiny_spec());
-    return harness.serve(preset_spec(Framework::HybriMoE), order);
+    return harness.serve_stream(preset_spec(Framework::HybriMoE), order);
   };
   const auto a = serve_order(specs);
   std::reverse(specs.begin(), specs.end());
@@ -130,13 +131,13 @@ TEST(ServeEdgeCasesTest, SimultaneousArrivalsServeInIdOrderRegardlessOfInput) {
 TEST(ServeEdgeCasesTest, PreemptionCountersSurviveIntoMetrics) {
   Request r;
   r.state = RequestState::Prefill;
-  r.preempt(1.0);
-  r.resume(2.0);
-  r.preempt(3.0);
+  r.preempt();
+  r.resume();
+  r.preempt();
   EXPECT_EQ(r.preemptions, 2U);
   EXPECT_EQ(r.state, RequestState::Preempted);
   // resume() clears the consecutive-defer streak, not the lifetime count.
-  r.resume(4.0);
+  r.resume();
   EXPECT_EQ(r.preempt_streak, 0U);
   EXPECT_EQ(r.preemptions, 2U);
 }

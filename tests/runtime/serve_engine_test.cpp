@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <span>
 #include <stdexcept>
+#include <vector>
 
 #include "runtime/session.hpp"
 
@@ -83,8 +85,8 @@ TEST(ServeEngineTest, SameStreamSeedSamePerRequestMetrics) {
   const auto specs = workload::generate_request_stream(tiny_stream());
   ExperimentHarness a(tiny_spec());
   ExperimentHarness b(tiny_spec());
-  const auto ma = a.serve(preset_spec(Framework::HybriMoE), specs);
-  const auto mb = b.serve(preset_spec(Framework::HybriMoE), specs);
+  const auto ma = a.serve_stream(preset_spec(Framework::HybriMoE), specs);
+  const auto mb = b.serve_stream(preset_spec(Framework::HybriMoE), specs);
   ASSERT_EQ(ma.requests.size(), mb.requests.size());
   for (std::size_t i = 0; i < ma.requests.size(); ++i) {
     EXPECT_EQ(ma.requests[i].id, mb.requests[i].id);
@@ -129,7 +131,7 @@ TEST(ServeEngineTest, NoRequestStarvesUnderTightBatchCap) {
   ExperimentHarness harness(tiny_spec());
   ServeOptions options;
   options.max_batch = 2;
-  const auto m = harness.serve(preset_spec(Framework::HybriMoE), specs, options);
+  const auto m = harness.serve_stream(preset_spec(Framework::HybriMoE), specs, options);
   ASSERT_EQ(m.requests.size(), specs.size());
   for (const auto& r : m.requests) {
     EXPECT_GE(r.admit, r.arrival);
@@ -146,7 +148,8 @@ TEST(ServeEngineTest, AdmissionIsFifoByArrival) {
   ExperimentHarness harness(tiny_spec());
   ServeOptions options;
   options.max_batch = 3;
-  const auto m = harness.serve(preset_spec(Framework::KTransformers), specs, options);
+  const auto m =
+      harness.serve_stream(preset_spec(Framework::KTransformers), specs, options);
   for (std::size_t i = 1; i < m.requests.size(); ++i)
     EXPECT_GE(m.requests[i].admit, m.requests[i - 1].admit);
 }
@@ -162,7 +165,7 @@ TEST(ServeEngineTest, DecodeOrderPreservedForSimultaneousIdenticalRequests) {
     specs[i].decode_tokens = 3;
   }
   ExperimentHarness harness(tiny_spec());
-  const auto m = harness.serve(preset_spec(Framework::HybriMoE), specs);
+  const auto m = harness.serve_stream(preset_spec(Framework::HybriMoE), specs);
   for (std::size_t i = 1; i < m.requests.size(); ++i) {
     EXPECT_LE(m.requests[i - 1].first_token, m.requests[i].first_token);
     EXPECT_LE(m.requests[i - 1].finish, m.requests[i].finish);
@@ -178,8 +181,9 @@ TEST(ServeEngineTest, ChunkedPrefillCoversThePromptAndDelaysTtft) {
   ExperimentHarness chunked(tiny_spec());
   ServeOptions chunk_options;
   chunk_options.max_prefill_chunk = 4;  // 4 + 4 + 2 tokens
-  const auto mw = whole.serve(preset_spec(Framework::HybriMoE), specs);
-  const auto mc = chunked.serve(preset_spec(Framework::HybriMoE), specs, chunk_options);
+  const auto mw = whole.serve_stream(preset_spec(Framework::HybriMoE), specs);
+  const auto mc =
+      chunked.serve_stream(preset_spec(Framework::HybriMoE), specs, chunk_options);
   EXPECT_EQ(mw.steps.per_forward.size(), 3U);  // 1 prefill + 2 decode steps
   EXPECT_EQ(mc.steps.per_forward.size(), 5U);  // 3 chunks + 2 decode steps
   EXPECT_EQ(mw.total_generated_tokens(), 3U);
@@ -197,11 +201,12 @@ TEST(ServeEngineTest, ConcurrencyActuallyHappensUnderLoad) {
     specs[i].decode_tokens = 4;
   }
   ExperimentHarness harness(tiny_spec());
-  const auto batched = harness.serve(preset_spec(Framework::HybriMoE), specs);
+  const auto batched = harness.serve_stream(preset_spec(Framework::HybriMoE), specs);
   ServeOptions serial;
   serial.max_batch = 1;
   ExperimentHarness harness2(tiny_spec());
-  const auto sequential = harness2.serve(preset_spec(Framework::HybriMoE), specs, serial);
+  const auto sequential =
+      harness2.serve_stream(preset_spec(Framework::HybriMoE), specs, serial);
   EXPECT_LT(batched.makespan, sequential.makespan);
   EXPECT_LT(batched.steps.per_forward.size(), sequential.steps.per_forward.size());
 }
@@ -211,7 +216,7 @@ TEST(ServeEngineTest, IdleGapsAccrueToMakespanNotBusyTime) {
   specs[0] = {0, 0.0, 4, 2};
   specs[1] = {1, 1e6, 4, 2};  // arrives eons after the first finishes
   ExperimentHarness harness(tiny_spec());
-  const auto m = harness.serve(preset_spec(Framework::HybriMoE), specs);
+  const auto m = harness.serve_stream(preset_spec(Framework::HybriMoE), specs);
   EXPECT_GE(m.makespan, 1e6);
   EXPECT_LT(m.steps.total_latency, 1e6);
   EXPECT_DOUBLE_EQ(m.requests[1].queueing_delay(), 0.0);
@@ -221,66 +226,70 @@ TEST(ServeEngineTest, IdleGapsAccrueToMakespanNotBusyTime) {
 
 TEST(ServeEngineTest, RejectsMisuse) {
   ExperimentHarness harness(tiny_spec());
-  ServeEngine engine(harness.build(preset_spec(Framework::HybriMoE)));
-  EXPECT_THROW((void)engine.run({}), std::invalid_argument);
+  const StackSpec stack = preset_spec(Framework::HybriMoE);
+  EXPECT_THROW((void)harness.serve_stream(stack, {}), std::invalid_argument);
 
   std::vector<workload::RequestSpec> specs(1);
   specs[0].prompt_tokens = 4;
   specs[0].decode_tokens = 2;
   ServeOptions bad;
   bad.max_batch = 0;
-  EXPECT_THROW((void)harness.serve(preset_spec(Framework::HybriMoE), specs, bad),
-               std::invalid_argument);
+  EXPECT_THROW((void)harness.serve_stream(stack, specs, bad), std::invalid_argument);
 
-  // A request whose traces don't match its spec is rejected.
-  workload::TraceGenParams params;
-  params.seed = 91;
-  workload::TraceGenerator gen(moe::ModelConfig::tiny(4, 8, 2), params);
-  auto requests = materialize_requests(gen, specs);
-  requests[0].spec.decode_tokens = 99;
-  ServeEngine engine2(harness.build(preset_spec(Framework::HybriMoE)));
-  EXPECT_THROW((void)engine2.run(std::move(requests)), std::invalid_argument);
+  // A request with nothing to generate is refused, not served as a no-op.
+  auto tokenless = specs;
+  tokenless[0].prompt_tokens = 0;
+  tokenless[0].decode_tokens = 0;
+  EXPECT_THROW((void)harness.serve_stream(stack, tokenless), std::invalid_argument);
 
-  // Requests materialised with a coarser chunking than the run options
-  // promise are rejected, not silently served whole.
-  auto whole = materialize_requests(gen, specs);  // one 4-token chunk
-  ServeOptions chunked;
-  chunked.max_prefill_chunk = 2;
-  ServeEngine engine3(harness.build(preset_spec(Framework::HybriMoE)));
-  EXPECT_THROW((void)engine3.run(std::move(whole), chunked), std::invalid_argument);
+  // The serving clock starts at zero; nothing arrives before it.
+  auto early = specs;
+  early[0].arrival_time = -1.0;
+  EXPECT_THROW((void)harness.serve_stream(stack, early), std::invalid_argument);
 }
 
 // -- Multi-device cache accounting --------------------------------------
 
-/// Records the transient prefill-buffer hits: while a serve runs, the
-/// cumulative step counters hold only those (device caches keep their own).
-class TransientHits final : public StepHook {
+/// Records, after every step, the transient prefill-buffer hits (while a
+/// serve runs, the cumulative step counters hold only those; device caches
+/// keep their own) and every device cache's counters. No cache work happens
+/// after the last step, so the final snapshot is the run's.
+class CacheProbe final : public StepHook {
  public:
-  void after_step(const StepInfo&, const StageMetrics& steps) override {
-    hits = steps.cache.hits;
+  void before_step(std::size_t, double, OffloadEngine& engine) override {
+    engine_ = &engine;
   }
-  std::size_t hits = 0;
+  void after_step(const StepInfo&, const StageMetrics& steps) override {
+    transient_hits = steps.cache.hits;
+    device_stats.clear();
+    for (std::size_t a = 0; a < engine_->num_devices(); ++a)
+      device_stats.push_back(engine_->device_cache(a).stats());
+  }
+  std::size_t transient_hits = 0;
+  std::vector<cache::CacheStats> device_stats;
+
+ private:
+  OffloadEngine* engine_ = nullptr;
 };
 
-/// Serves `requests` on `stack` and checks the reported hits are exactly the
+/// Serves `specs` on `stack` and checks the reported hits are exactly the
 /// device caches' hits plus the transient-buffer hits; returns the latter.
 std::size_t expect_hits_cover_every_device(ExperimentHarness& harness,
                                            const StackSpec& stack,
-                                           std::vector<Request> requests,
+                                           std::span<const workload::RequestSpec> specs,
                                            ServeOptions options = {}) {
-  TransientHits transient;
-  options.hook = &transient;
-  ServeEngine engine(harness.build(stack));
-  const ServeMetrics m = engine.run(std::move(requests), options);
+  CacheProbe probe;
+  options.hook = &probe;
+  const ServeMetrics m = harness.serve_stream(stack, specs, options);
   std::size_t device_hits = 0;
   std::size_t device_misses = 0;
-  for (std::size_t a = 0; a < engine.engine().num_devices(); ++a) {
-    device_hits += engine.engine().device_cache(a).stats().hits;
-    device_misses += engine.engine().device_cache(a).stats().misses;
+  for (const cache::CacheStats& stats : probe.device_stats) {
+    device_hits += stats.hits;
+    device_misses += stats.misses;
   }
-  EXPECT_EQ(m.steps.cache.hits, device_hits + transient.hits);
+  EXPECT_EQ(m.steps.cache.hits, device_hits + probe.transient_hits);
   EXPECT_EQ(m.steps.cache.misses, device_misses);
-  return transient.hits;
+  return probe.transient_hits;
 }
 
 TEST(ServeEngineTest, MultiDeviceDecodeReportsEveryDeviceCache) {
@@ -297,10 +306,9 @@ TEST(ServeEngineTest, MultiDeviceDecodeReportsEveryDeviceCache) {
     StackSpec stack = preset_spec(Framework::HybriMoE);
     stack.topology = topology;
 
-    std::vector<Request> requests(1);
-    requests[0].spec.decode_tokens = 32;
-    requests[0].decode = harness.decode_trace(32);
-    EXPECT_EQ(expect_hits_cover_every_device(harness, stack, std::move(requests)), 0U);
+    std::vector<workload::RequestSpec> specs(1);
+    specs[0].decode_tokens = 32;  // an already-prefilled session
+    EXPECT_EQ(expect_hits_cover_every_device(harness, stack, specs), 0U);
 
     // The stage runner reports what the engine's own decode loop reports.
     const auto direct = harness.build(stack)->run_decode(harness.decode_trace(32));
@@ -321,8 +329,8 @@ TEST(ServeEngineTest, MultiDeviceServeCountsTransientAndDeviceHits) {
   ServeOptions options;
   options.max_prefill_chunk = 4;
   const auto specs = workload::generate_request_stream(tiny_stream(4.0));
-  const std::size_t transient = expect_hits_cover_every_device(
-      harness, stack, harness.materialize(specs, options.max_prefill_chunk), options);
+  const std::size_t transient =
+      expect_hits_cover_every_device(harness, stack, specs, options);
   EXPECT_GT(transient, 0U);  // prefetched prefill buffers were consumed
 }
 

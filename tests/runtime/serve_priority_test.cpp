@@ -50,13 +50,14 @@ TEST(ServePriorityTest, VipJumpsTheAdmissionQueue) {
   options.max_batch = 1;
 
   ExperimentHarness fifo_harness(tiny_spec());
-  const auto fifo = fifo_harness.serve(preset_spec(Framework::HybriMoE), specs, options);
+  const auto fifo =
+      fifo_harness.serve_stream(preset_spec(Framework::HybriMoE), specs, options);
   EXPECT_LT(metrics_of(fifo, 0).first_token, metrics_of(fifo, 2).first_token);
 
   options.priority_admission = true;
   ExperimentHarness tiered_harness(tiny_spec());
   const auto tiered =
-      tiered_harness.serve(preset_spec(Framework::HybriMoE), specs, options);
+      tiered_harness.serve_stream(preset_spec(Framework::HybriMoE), specs, options);
   EXPECT_LT(metrics_of(tiered, 2).first_token, metrics_of(tiered, 1).first_token);
   EXPECT_LT(metrics_of(tiered, 1).first_token, metrics_of(tiered, 0).first_token);
   // Every request still finishes — lower tiers are delayed, never dropped.
@@ -75,7 +76,7 @@ TEST(ServePriorityTest, FifoTieBreaksEqualPrioritiesWithinPriorityAdmission) {
   options.max_batch = 1;
   options.priority_admission = true;
   ExperimentHarness harness(tiny_spec());
-  const auto m = harness.serve(preset_spec(Framework::HybriMoE), specs, options);
+  const auto m = harness.serve_stream(preset_spec(Framework::HybriMoE), specs, options);
   EXPECT_LT(metrics_of(m, 3).admit, metrics_of(m, 5).admit);
   EXPECT_LT(metrics_of(m, 5).admit, metrics_of(m, 9).admit);
 }
@@ -105,8 +106,8 @@ TEST(ServePriorityTest, SingleTierStreamIsBitIdenticalUnderTieredOptions) {
 
   ExperimentHarness a(tiny_spec());
   ExperimentHarness b(tiny_spec());
-  const auto ma = a.serve(preset_spec(Framework::HybriMoE), specs, plain);
-  const auto mb = b.serve(preset_spec(Framework::HybriMoE), specs, tiered);
+  const auto ma = a.serve_stream(preset_spec(Framework::HybriMoE), specs, plain);
+  const auto mb = b.serve_stream(preset_spec(Framework::HybriMoE), specs, tiered);
   ASSERT_EQ(ma.requests.size(), mb.requests.size());
   for (std::size_t i = 0; i < ma.requests.size(); ++i) {
     EXPECT_EQ(ma.requests[i].id, mb.requests[i].id);
@@ -136,7 +137,7 @@ TEST(ServePriorityTest, TightVipSloPreemptsLowerTierPrefill) {
       make_request(0, 0.0, 4, 40, workload::Priority::Vip);
   ExperimentHarness probe_harness(tiny_spec());
   const auto probe =
-      probe_harness.serve(preset_spec(Framework::HybriMoE), std::vector{vip});
+      probe_harness.serve_stream(preset_spec(Framework::HybriMoE), std::vector{vip});
   const double arrival =
       metrics_of(probe, 0).first_token + 2.5 * metrics_of(probe, 0).tbt[0];
 
@@ -148,7 +149,7 @@ TEST(ServePriorityTest, TightVipSloPreemptsLowerTierPrefill) {
   options.tiers[workload::priority_index(workload::Priority::Vip)].tbt_slo = 1e-9;
 
   ExperimentHarness harness(tiny_spec());
-  const auto m = harness.serve(preset_spec(Framework::HybriMoE), specs, options);
+  const auto m = harness.serve_stream(preset_spec(Framework::HybriMoE), specs, options);
   EXPECT_GT(metrics_of(m, 1).preemptions, 0U);
   EXPECT_EQ(metrics_of(m, 0).preemptions, 0U);  // VIP itself never preempted
   // The no-starvation valve: the best-effort request still finished.
@@ -165,7 +166,8 @@ TEST(ServePriorityTest, PreemptionNeverFiresWithoutAnSloOrWithoutHigherTiers) {
   options.max_prefill_chunk = 4;
   options.preemption = true;  // armed, but no tier has an SLO
   ExperimentHarness harness(tiny_spec());
-  const auto no_slo = harness.serve(preset_spec(Framework::HybriMoE), specs, options);
+  const auto no_slo =
+      harness.serve_stream(preset_spec(Framework::HybriMoE), specs, options);
   for (const auto& r : no_slo.requests) EXPECT_EQ(r.preemptions, 0U);
 
   // The VIP is the *prefill* and the best-effort the decode: a lower-tier
@@ -178,7 +180,7 @@ TEST(ServePriorityTest, PreemptionNeverFiresWithoutAnSloOrWithoutHigherTiers) {
   tight.tiers[workload::priority_index(workload::Priority::BestEffort)].tbt_slo =
       1e-9;
   ExperimentHarness harness2(tiny_spec());
-  const auto m = harness2.serve(preset_spec(Framework::HybriMoE), inverted, tight);
+  const auto m = harness2.serve_stream(preset_spec(Framework::HybriMoE), inverted, tight);
   for (const auto& r : m.requests) EXPECT_EQ(r.preemptions, 0U);
 }
 
@@ -196,7 +198,7 @@ TEST(ServePriorityTest, TtftDeadlineRejectsRequestsThatWaitedTooLong) {
   options.tiers[workload::priority_index(workload::Priority::Standard)]
       .ttft_deadline = 1e-9;
   ExperimentHarness harness(tiny_spec());
-  const auto m = harness.serve(preset_spec(Framework::HybriMoE), specs, options);
+  const auto m = harness.serve_stream(preset_spec(Framework::HybriMoE), specs, options);
   EXPECT_EQ(m.finished_count(), 1U);  // only the head-of-line request ran
   EXPECT_EQ(m.rejected_count(), 4U);
   for (const auto& r : m.requests) {
@@ -223,7 +225,7 @@ TEST(ServePriorityTest, TierQueueCapacityDropsTheNewestOverflow) {
   options.tiers[workload::priority_index(workload::Priority::BestEffort)]
       .queue_capacity = 1;
   ExperimentHarness harness(tiny_spec());
-  const auto m = harness.serve(preset_spec(Framework::HybriMoE), specs, options);
+  const auto m = harness.serve_stream(preset_spec(Framework::HybriMoE), specs, options);
   EXPECT_FALSE(metrics_of(m, 1).rejected);  // oldest best-effort survives
   EXPECT_TRUE(metrics_of(m, 2).rejected);
   EXPECT_TRUE(metrics_of(m, 3).rejected);
@@ -241,32 +243,35 @@ TEST(ServePriorityTest, RejectsMisuse) {
   // A zero-capacity tier queue admits nothing — configuration error.
   ServeOptions zero_cap;
   zero_cap.tiers[0].queue_capacity = 0;
-  EXPECT_THROW((void)harness.serve(preset_spec(Framework::HybriMoE), specs, zero_cap),
-               std::invalid_argument);
+  EXPECT_THROW(
+      (void)harness.serve_stream(preset_spec(Framework::HybriMoE), specs, zero_cap),
+      std::invalid_argument);
 
   ServeOptions no_valve;
   no_valve.preemption = true;
   no_valve.max_consecutive_preemptions = 0;  // would allow permanent starvation
-  EXPECT_THROW((void)harness.serve(preset_spec(Framework::HybriMoE), specs, no_valve),
-               std::invalid_argument);
+  EXPECT_THROW(
+      (void)harness.serve_stream(preset_spec(Framework::HybriMoE), specs, no_valve),
+      std::invalid_argument);
 
   ServeOptions negative_slo;
   negative_slo.tiers[0].tbt_slo = -0.1;
-  EXPECT_THROW((void)harness.serve(preset_spec(Framework::HybriMoE), specs, negative_slo),
-               std::invalid_argument);
+  EXPECT_THROW(
+      (void)harness.serve_stream(preset_spec(Framework::HybriMoE), specs, negative_slo),
+      std::invalid_argument);
 
   // Request lifecycle misuse: preempting anything but a prefill, preempting
   // twice, resuming anything but a preempted request.
   Request r;
-  EXPECT_THROW(r.preempt(0.0), std::invalid_argument);  // still Queued
+  EXPECT_THROW(r.preempt(), std::invalid_argument);  // still Queued
   r.state = RequestState::Prefill;
-  r.preempt(1.0);
+  r.preempt();
   EXPECT_EQ(r.state, RequestState::Preempted);
-  EXPECT_THROW(r.preempt(2.0), std::invalid_argument);  // already preempted
-  r.resume(3.0);
+  EXPECT_THROW(r.preempt(), std::invalid_argument);  // already preempted
+  r.resume();
   EXPECT_EQ(r.state, RequestState::Prefill);
   r.state = RequestState::Decode;
-  EXPECT_THROW(r.resume(4.0), std::invalid_argument);
+  EXPECT_THROW(r.resume(), std::invalid_argument);
 }
 
 TEST(ServePriorityTest, PriorityNameParsingRejectsTyposWithDidYouMean) {

@@ -319,8 +319,8 @@ TEST_F(StackSpecEngineTest, ServeAcceptsSpecs) {
   stream.seed = 5;
   const auto requests = workload::generate_request_stream(stream);
 
-  const auto preset = harness.serve(preset_spec(Framework::HybriMoE), requests);
-  const auto spec_run = harness.serve(preset_spec(Framework::HybriMoE), requests);
+  const auto preset = harness.serve_stream(preset_spec(Framework::HybriMoE), requests);
+  const auto spec_run = harness.serve_stream(preset_spec(Framework::HybriMoE), requests);
   ASSERT_EQ(preset.requests.size(), spec_run.requests.size());
   EXPECT_EQ(preset.makespan, spec_run.makespan);
   EXPECT_EQ(preset.steps.total_latency, spec_run.steps.total_latency);

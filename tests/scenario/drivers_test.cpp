@@ -56,8 +56,8 @@ ScenarioRun run_scenario(const ScenarioSpec& scenario, std::uint64_t seed) {
   options.max_prefill_chunk = 4;
   options.hook = &driver;
   const auto specs = shape_stream(tiny_stream(seed), scenario);
-  auto metrics =
-      harness.serve(runtime::preset_spec(runtime::Framework::HybriMoE), specs, options);
+  auto metrics = harness.serve_stream(runtime::preset_spec(runtime::Framework::HybriMoE),
+                                      specs, options);
   return {driver.timeline(), std::move(metrics)};
 }
 

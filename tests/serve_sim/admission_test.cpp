@@ -74,7 +74,7 @@ TEST(KvAdmissionTest, NearZeroBudgetRejectsEveryRequest) {
                           AdmissionMode::EvictRequeue}) {
     ExperimentHarness harness(tiny_spec());
     const auto metrics =
-        harness.serve(hybrimoe_stack(), specs, kv_options(1e-6, mode));
+        harness.serve_stream(hybrimoe_stack(), specs, kv_options(1e-6, mode));
     EXPECT_EQ(metrics.finished_count(), 0U);
     EXPECT_EQ(metrics.rejected_count(), specs.size());
     EXPECT_EQ(metrics.kv.rejected, specs.size());
@@ -89,7 +89,7 @@ TEST(KvAdmissionTest, ExactFitIsAdmittedOneTokenOverIsNot) {
   const std::vector<workload::RequestSpec> specs{make_request(0, 0.0, 4, 4)};
   {
     ExperimentHarness harness(tiny_spec());
-    const auto metrics = harness.serve(
+    const auto metrics = harness.serve_stream(
         hybrimoe_stack(), specs, kv_options(0.008, AdmissionMode::Queue));
     EXPECT_EQ(metrics.finished_count(), 1U);
     EXPECT_DOUBLE_EQ(metrics.kv.peak_bytes, 8000.0);
@@ -97,7 +97,7 @@ TEST(KvAdmissionTest, ExactFitIsAdmittedOneTokenOverIsNot) {
   }
   {
     ExperimentHarness harness(tiny_spec());
-    const auto metrics = harness.serve(
+    const auto metrics = harness.serve_stream(
         hybrimoe_stack(), specs, kv_options(0.007, AdmissionMode::Queue));
     EXPECT_EQ(metrics.finished_count(), 0U);
     EXPECT_EQ(metrics.kv.rejected, 1U);
@@ -111,8 +111,8 @@ TEST(KvAdmissionTest, QueueModeFinishesEverythingWithinBudget) {
   ExperimentHarness harness(tiny_spec());
   // Budget for one max-size request (13 tokens): admission serialises but
   // nothing is lost.
-  const auto metrics = harness.serve(hybrimoe_stack(), specs,
-                                     kv_options(0.013, AdmissionMode::Queue));
+  const auto metrics = harness.serve_stream(hybrimoe_stack(), specs,
+                                            kv_options(0.013, AdmissionMode::Queue));
   EXPECT_EQ(metrics.finished_count(), specs.size());
   EXPECT_EQ(metrics.rejected_count(), 0U);
   EXPECT_EQ(metrics.kv.rejected, 0U);
@@ -124,9 +124,9 @@ TEST(KvAdmissionTest, DisabledAccountingIsBitIdenticalToNoKv) {
   const auto specs = workload::generate_request_stream(tiny_stream());
   ExperimentHarness a(tiny_spec());
   ExperimentHarness b(tiny_spec());
-  const auto plain = a.serve(hybrimoe_stack(), specs);
+  const auto plain = a.serve_stream(hybrimoe_stack(), specs);
   ServeOptions disabled;  // budget 0 = accounting off
-  const auto gated = b.serve(hybrimoe_stack(), specs, disabled);
+  const auto gated = b.serve_stream(hybrimoe_stack(), specs, disabled);
   ASSERT_EQ(plain.requests.size(), gated.requests.size());
   EXPECT_EQ(plain.makespan, gated.makespan);
   for (std::size_t i = 0; i < plain.requests.size(); ++i) {
@@ -141,8 +141,8 @@ TEST(KvAdmissionTest, DisabledAccountingIsBitIdenticalToNoKv) {
 TEST(KvAdmissionTest, RejectModeShedsExactlyWhatCannotFit) {
   const auto specs = workload::generate_request_stream(tiny_stream(200.0));
   ExperimentHarness harness(tiny_spec());
-  const auto metrics = harness.serve(hybrimoe_stack(), specs,
-                                     kv_options(0.020, AdmissionMode::Reject));
+  const auto metrics = harness.serve_stream(hybrimoe_stack(), specs,
+                                            kv_options(0.020, AdmissionMode::Reject));
   EXPECT_GT(metrics.rejected_count(), 0U);
   EXPECT_GT(metrics.finished_count(), 0U);
   // KV is the only active admission-control policy, so its reject counter
@@ -168,8 +168,8 @@ TEST(KvAdmissionTest, EvictRequeueIsDeterministicAndConservesTokens) {
   const auto specs = workload::generate_request_stream(params);
   ExperimentHarness a(tiny_spec());
   ExperimentHarness b(tiny_spec());
-  const auto ma = a.serve(hybrimoe_stack(), specs, evict_options());
-  const auto mb = b.serve(hybrimoe_stack(), specs, evict_options());
+  const auto ma = a.serve_stream(hybrimoe_stack(), specs, evict_options());
+  const auto mb = b.serve_stream(hybrimoe_stack(), specs, evict_options());
 
   // Evict mode never sheds a feasible request: it blocks when it cannot
   // evict. Token conservation: every finished request re-emitted its full
@@ -209,7 +209,7 @@ TEST(KvAdmissionTest, EvictionTargetsStrictlyLowerTiersNewestFirst) {
   ExperimentHarness harness(tiny_spec());
   ServeOptions options = kv_options(0.137, AdmissionMode::EvictRequeue);
   options.priority_admission = true;
-  const auto metrics = harness.serve(hybrimoe_stack(), specs, options);
+  const auto metrics = harness.serve_stream(hybrimoe_stack(), specs, options);
   EXPECT_EQ(metrics.finished_count(), 3U);
   EXPECT_GE(metrics.requests[0].evictions, 1U);  // best-effort paid
   EXPECT_EQ(metrics.requests[1].evictions, 0U);  // standard untouched
@@ -226,7 +226,7 @@ TEST(KvAdmissionTest, EvictFallsBackToBlockingWhenNoLowerTierExists) {
       make_request(2, 0.0, 4, 8),
   };
   ExperimentHarness harness(tiny_spec());
-  const auto metrics = harness.serve(
+  const auto metrics = harness.serve_stream(
       hybrimoe_stack(), specs, kv_options(0.025, AdmissionMode::EvictRequeue));
   EXPECT_EQ(metrics.finished_count(), 3U);
   EXPECT_EQ(metrics.kv.evictions, 0U);
@@ -240,7 +240,7 @@ TEST(KvAdmissionTest, EnabledBudgetRequiresResolvedBytesPerToken) {
   ExperimentHarness harness(tiny_spec());
   ServeOptions options;
   options.kv.budget_mb = 1.0;  // bytes_per_token left unresolved
-  EXPECT_THROW((void)harness.serve(hybrimoe_stack(), specs, options),
+  EXPECT_THROW((void)harness.serve_stream(hybrimoe_stack(), specs, options),
                std::invalid_argument);
 }
 

@@ -87,7 +87,7 @@ std::vector<std::string> traced_run() {
   runtime::ServeOptions options = make_options();
   options.hook = &recorder;
   const auto metrics =
-      harness.serve(hybrimoe_stack(), make_stream(), options);
+      harness.serve_stream(hybrimoe_stack(), make_stream(), options);
   recorder.write_summary(metrics);
   return sink.lines();
 }
@@ -114,7 +114,7 @@ TEST(RecorderTest, RecordedRunReportsIdenticalMetrics) {
   const auto specs = make_stream();
   runtime::ExperimentHarness plain_harness(make_spec());
   const auto plain =
-      plain_harness.serve(hybrimoe_stack(), specs, make_options());
+      plain_harness.serve_stream(hybrimoe_stack(), specs, make_options());
 
   runtime::ExperimentHarness traced_harness(make_spec());
   VectorSink sink;
@@ -122,7 +122,7 @@ TEST(RecorderTest, RecordedRunReportsIdenticalMetrics) {
   runtime::ServeOptions options = make_options();
   options.hook = &recorder;
   const auto traced =
-      traced_harness.serve(hybrimoe_stack(), specs, options);
+      traced_harness.serve_stream(hybrimoe_stack(), specs, options);
 
   EXPECT_EQ(plain.makespan, traced.makespan);
   EXPECT_EQ(plain.finished_count(), traced.finished_count());
@@ -140,7 +140,7 @@ TEST(RecorderTest, PerStepDeltasSumToRunTotals) {
   runtime::ServeOptions options = make_options();
   options.hook = &recorder;
   const auto metrics =
-      harness.serve(hybrimoe_stack(), make_stream(), options);
+      harness.serve_stream(hybrimoe_stack(), make_stream(), options);
 
   ASSERT_FALSE(recorder.timeline().empty());
   std::size_t transfers = 0, prefetches = 0, maintenance = 0;
@@ -186,7 +186,7 @@ TEST(RecorderTest, TracedTransfersMatchCopyEngineCompletions) {
   runtime::ServeOptions options = make_options();
   options.hook = &recorder;
   const auto metrics =
-      harness.serve(hybrimoe_stack(), make_stream(6), options);
+      harness.serve_stream(hybrimoe_stack(), make_stream(6), options);
   (void)metrics;
 
   std::vector<std::uint64_t> per_device;
@@ -222,7 +222,7 @@ TEST(RecorderTest, ScenarioDriverStreamsThroughExternalRecorder) {
   runtime::ServeOptions options = make_options();
   options.hook = &driver;
   const auto metrics =
-      harness.serve(hybrimoe_stack(), make_stream(), options);
+      harness.serve_stream(hybrimoe_stack(), make_stream(), options);
   recorder.write_summary(metrics);
 
   EXPECT_EQ(driver.timeline().size(), recorder.timeline().size());

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <regex>
+#include <string>
 
 #include "workload/generator.hpp"
 
@@ -76,6 +78,26 @@ TEST(TraceIoTest, RejectsCorruptedInput) {
                std::invalid_argument);
   EXPECT_THROW((void)decode_trace_from_string("garbage"), std::invalid_argument);
   EXPECT_THROW((void)decode_trace_from_string("HYBRIMOE-TRACE v99 decode"),
+               std::invalid_argument);
+
+  // Counts that would wrap or size a huge allocation: rejected as malformed,
+  // never read as 2^64-1 or handed to reserve/resize.
+  const auto with = [](const std::string& trace, const std::string& pattern,
+                       const std::string& replacement) {
+    return std::regex_replace(trace, std::regex(pattern), replacement,
+                              std::regex_constants::format_first_only);
+  };
+  const std::string max = "18446744073709551615";  // 2^64 - 1
+  for (const std::string& bad :
+       {with(text, "steps \\d+", "steps " + max), with(text, "steps \\d+", "steps -1"),
+        with(text, "layers=\\d+", "layers=" + max),
+        with(text, "experts=\\d+", "experts=" + max),
+        with(text, "tokens=\\d+", "tokens=-1"), with(text, "loads \\d+", "loads -2")}) {
+    SCOPED_TRACE(bad.substr(0, 80));
+    EXPECT_THROW((void)decode_trace_from_string(bad), std::invalid_argument);
+  }
+  const auto prefill = to_string(gen.generate_prefill(4));
+  EXPECT_THROW((void)prefill_trace_from_string(with(prefill, "prompt \\d+", "prompt -5")),
                std::invalid_argument);
 }
 

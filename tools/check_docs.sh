@@ -16,8 +16,10 @@
 #    the device-topology headers (src/hw/topology.hpp, src/sched/device.hpp —
 #    the vocabulary every layer of the stack now speaks), the engine-facing
 #    API (src/hw/cost_model.hpp, src/sched/plan.hpp, src/runtime/engine.hpp,
-#    src/runtime/session.hpp — the cost queries, plan shape, engine and
-#    experiment runners every bench, example and tool is written against),
+#    src/runtime/session.hpp, src/runtime/serve_engine.hpp,
+#    src/runtime/request.hpp — the cost queries, plan shape, engine,
+#    experiment runners and serving options every bench, example and tool is
+#    written against),
 #    the scheduler core (src/sched/simulator.hpp, src/sched/schedulers.hpp —
 #    the §IV-B simulation and the policies built from its option tables),
 #    and the SIMD dispatch header (src/kernels/simd.hpp — its
@@ -38,7 +40,7 @@ fail=0
 # ---------------------------------------------------------------------------
 # 1. Doc-comment coverage.
 # ---------------------------------------------------------------------------
-doc_headers="src/exec/*.hpp src/scenario/*.hpp src/serve_sim/*.hpp src/trace/*.hpp src/hw/topology.hpp src/hw/cost_model.hpp src/sched/device.hpp src/sched/plan.hpp src/sched/simulator.hpp src/sched/schedulers.hpp src/runtime/engine.hpp src/runtime/session.hpp src/kernels/simd.hpp"
+doc_headers="src/exec/*.hpp src/scenario/*.hpp src/serve_sim/*.hpp src/trace/*.hpp src/hw/topology.hpp src/hw/cost_model.hpp src/sched/device.hpp src/sched/plan.hpp src/sched/simulator.hpp src/sched/schedulers.hpp src/runtime/engine.hpp src/runtime/session.hpp src/runtime/serve_engine.hpp src/runtime/request.hpp src/kernels/simd.hpp"
 for header in $doc_headers; do
   out=$(awk '
     # Track public sections inside class bodies (structs default public).

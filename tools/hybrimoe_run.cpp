@@ -169,6 +169,12 @@ Options parse_options(int argc, char** argv) {
       usage_error(std::string(flag) + " must be a finite number, got '" + v + "'");
     return value;
   };
+  auto to_nonnegative = [&](const char* flag, const std::string& v) {
+    const double value = to_double(flag, v);
+    if (value < 0.0)
+      usage_error(std::string(flag) + " must be non-negative, got '" + v + "'");
+    return value;
+  };
   // std::stoull accepts a sign and wraps "-3" to a huge count, so a '-'
   // anywhere in the value is rejected first.
   auto to_count = [&](const char* flag, const std::string& v) -> std::uint64_t {
@@ -226,14 +232,14 @@ Options parse_options(int argc, char** argv) {
     } else if (arg == "--preempt") {
       opts.preempt = true;
     } else if (arg == "--vip-slo") {
-      opts.vip_slo = to_double("--vip-slo", next(i, "--vip-slo"));
+      opts.vip_slo = to_nonnegative("--vip-slo", next(i, "--vip-slo"));
     } else if (arg == "--kv-budget") {
       opts.kv_budget = next(i, "--kv-budget");
       if (opts.kv_budget != "auto")
         (void)to_double("--kv-budget", opts.kv_budget);
     } else if (arg == "--kv-bytes-per-token") {
       opts.kv_bytes_per_token =
-          to_double("--kv-bytes-per-token", next(i, "--kv-bytes-per-token"));
+          to_nonnegative("--kv-bytes-per-token", next(i, "--kv-bytes-per-token"));
     } else if (arg == "--admission") {
       opts.admission = next(i, "--admission");
     } else if (arg == "--exec") {
@@ -422,7 +428,7 @@ int main(int argc, char** argv) {
       std::cout << "scenario: " << scenario::to_json(*stack.scenario) << "\n";
     std::cout << "\n";
 
-    const auto metrics = harness.serve(stack, request_specs, serve_options);
+    const auto metrics = harness.serve_stream(stack, request_specs, serve_options);
 
     // A fully shed stream (tight KV budget under reject admission) has no
     // latency samples — report zeros instead of tripping the accessors'
