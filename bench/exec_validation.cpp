@@ -3,15 +3,15 @@
 /// repository's stand-in for the paper's §V real-system claim: hybrid
 /// scheduling hides transfer latency in *wall-clock* time, not only in the
 /// analytical model. The same decode trace runs through every framework
-/// twice — once purely simulated, once lowered onto real threads (worker
-/// pool + copy engine + GPU lane, paced to the calibrated cost model) — and
+/// twice — once purely simulated, once lowered onto real threads (CPU lane +
+/// copy engine + GPU lane, paced to the calibrated cost model) — and
 /// the bench reports the per-framework makespan error plus the bitwise
 /// layer-output digests that certify both modes computed the same thing.
 ///
 /// Pass criteria (exit code 1 on violation):
 ///  * HybriMoE modeled-vs-measured makespan error <= 25%;
-///  * threaded digests identical to the simulated reference at 1, 2 and 8
-///    workers (and across frameworks — scheduling must not change results).
+///  * threaded digests identical to the simulated reference, and identical
+///    across frameworks (scheduling must not change results).
 ///
 /// Optional argv[1]: path to emit a JSON summary (BENCH_exec_validation.json
 /// in CI).
@@ -28,7 +28,6 @@
 namespace {
 
 constexpr std::size_t kSteps = 8;
-constexpr std::size_t kThreadedWorkers = 4;
 /// Wall-clock budget per threaded run; sets the pacing scale so the whole
 /// bench stays CI-friendly while task durations dwarf sleep overshoot.
 constexpr double kTargetWallSeconds = 0.6;
@@ -36,7 +35,6 @@ constexpr double kHybriMoeErrorBound = 0.25;
 
 struct Row {
   std::string framework;
-  std::size_t workers = 0;
   double modeled = 0.0;
   double measured = 0.0;
   std::uint64_t digest = 0;
@@ -82,45 +80,30 @@ int main(int argc, char** argv) {
       reference_executor->calibrate_time_scale(harness.costs(), 4.0);
   exec_options.time_scale =
       std::max(kTargetWallSeconds / hybrimoe_modeled, calibrated);
-  exec_options.workers = kThreadedWorkers;
   std::cout << "pacing: " << util::format_double(exec_options.time_scale, 1)
             << "x wall per modeled second (calibration floor "
             << util::format_double(calibrated, 1) << "x)\n";
 
-  // ---- Pass 2: threaded execution per framework, plus the HybriMoE
-  // worker-count sweep for the determinism criterion.
-  struct Run {
-    runtime::Framework framework;
-    std::size_t workers;
-  };
-  std::vector<Run> runs;
-  for (const auto framework : runtime::kPaperFrameworks)
-    runs.push_back({framework, kThreadedWorkers});
-  for (const std::size_t workers : {1u, 2u, 8u})
-    runs.push_back({runtime::Framework::HybriMoE, workers});
-
-  // One measurement attempt per run; a run whose wall clock got preempted by
-  // unrelated system load (the usual perf-bench hazard on shared CI hosts)
-  // is retried once and keeps its better attempt.
-  auto measure = [&](const Run& run) {
-    exec::ExecOptions options = exec_options;
-    options.workers = run.workers;
+  // ---- Pass 2: threaded execution per framework. One measurement attempt
+  // per framework; a run whose wall clock got preempted by unrelated system
+  // load (the usual perf-bench hazard on shared CI hosts) is retried once and
+  // keeps its better attempt.
+  auto measure = [&](runtime::Framework framework) {
     harness.set_execution(exec::ExecutionMode::Threaded,
-                          std::make_shared<exec::HybridExecutor>(options));
-    const auto metrics = harness.run_decode(runtime::preset_spec(run.framework), kSteps);
+                          std::make_shared<exec::HybridExecutor>(exec_options));
+    const auto metrics = harness.run_decode(runtime::preset_spec(framework), kSteps);
     Row row;
-    row.framework = runtime::to_string(run.framework);
-    row.workers = run.workers;
+    row.framework = runtime::to_string(framework);
     row.modeled = metrics.total_latency;
     row.measured = metrics.measured_latency;
     row.digest = metrics.exec_digest;
     return row;
   };
   std::vector<Row> threaded;
-  for (const auto& run : runs) {
-    Row row = measure(run);
+  for (const auto framework : runtime::kPaperFrameworks) {
+    Row row = measure(framework);
     if (row.error() > kHybriMoeErrorBound) {
-      const Row retry = measure(run);
+      const Row retry = measure(framework);
       if (retry.error() < row.error()) row = retry;
     }
     threaded.push_back(row);
@@ -129,12 +112,10 @@ int main(int argc, char** argv) {
   // ---- Report + pass criteria.
   util::TextTable table(model.name + " — decode, " + std::to_string(kSteps) +
                         " steps, modeled vs measured makespan");
-  table.set_headers({"framework", "workers", "modeled", "measured", "error",
-                     "digest ok"});
+  table.set_headers({"framework", "modeled", "measured", "error", "digest ok"});
   bool digests_ok = true;
   bool hybrimoe_ok = true;
-  for (std::size_t i = 0; i < threaded.size(); ++i) {
-    const Row& row = threaded[i];
+  for (const Row& row : threaded) {
     const Row* ref = nullptr;
     for (const Row& s : simulated)
       if (s.framework == row.framework) ref = &s;
@@ -144,7 +125,6 @@ int main(int argc, char** argv) {
       hybrimoe_ok = false;
     table.begin_row()
         .add_cell(row.framework)
-        .add_cell(std::to_string(row.workers))
         .add_cell(util::format_seconds(row.modeled))
         .add_cell(util::format_seconds(row.measured))
         .add_cell(util::format_double(row.error() * 100.0, 1) + "%")
@@ -169,7 +149,6 @@ int main(int argc, char** argv) {
     for (const Row& row : threaded) {
       auto item = w.row();
       item.field("framework").string(row.framework);
-      item.field("workers").number(row.workers);
       item.field("modeled_s").number(row.modeled);
       item.field("measured_s").number(row.measured);
       item.field("error").number(row.error());
@@ -182,7 +161,7 @@ int main(int argc, char** argv) {
     std::cout << "\nWrote " << argv[1] << "\n";
   }
 
-  std::cout << "\nDigest check (bitwise layer outputs, all modes/workers/policies): "
+  std::cout << "\nDigest check (bitwise layer outputs, all modes/policies): "
             << (digests_ok ? "PASS" : "FAIL")
             << "\nHybriMoE makespan error <= "
             << util::format_double(kHybriMoeErrorBound * 100.0, 0)

@@ -5,17 +5,14 @@
 /// cross-check that both dispatch levels agree numerically. Every row times
 /// one hot, cache-resident input except `gemv_stream`, which cycles
 /// expert-shaped matrices over a working set far larger than the LLC — the
-/// memory-bound regime of a CPU expert forward. Always built —
-/// no Google Benchmark required — so CI measures on every host; the legacy
-/// google-benchmark suite (scheduler/cache/router micro-latencies) remains
-/// available behind `--gbench` when the library was found at configure time.
+/// memory-bound regime of a CPU expert forward. Always built, so CI
+/// measures on every host.
 ///
 ///   bench_micro_kernels results/BENCH_kernels.json   # gate + artifact
 ///   bench_micro_kernels --meta meta.json             # metadata only (no
 ///                                                    # timings; byte-stable
 ///                                                    # for CI double runs)
 ///   bench_micro_kernels --min-speedup 1.5            # one floor for all rows
-///   bench_micro_kernels --gbench [gbench flags]      # legacy suite
 ///
 /// Each kernel row carries its own speedup floor (`floor_x` in the artifact)
 /// and the gate fails when any row misses its floor. --min-speedup or
@@ -251,15 +248,11 @@ void write_artifact(std::ostream& os, const std::vector<KernelResult>& results,
 [[noreturn]] void usage_error(const std::string& message) {
   std::cerr << "bench_micro_kernels: " << message
             << "\nusage: bench_micro_kernels [out.json] [--meta PATH] "
-               "[--min-speedup X] [--gbench ...]\n";
+               "[--min-speedup X]\n";
   std::exit(2);
 }
 
 }  // namespace
-
-#ifdef HYBRIMOE_HAVE_GBENCH
-int run_gbench_suite(int argc, char** argv);
-#endif
 
 int main(int argc, char** argv) {
   std::string out_path;
@@ -269,20 +262,7 @@ int main(int argc, char** argv) {
     min_speedup = std::atof(env);
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (arg == "--gbench") {
-#ifdef HYBRIMOE_HAVE_GBENCH
-      // Hand the remaining argv to google-benchmark verbatim.
-      std::vector<char*> rest;
-      rest.push_back(argv[0]);
-      for (int j = i + 1; j < argc; ++j) rest.push_back(argv[j]);
-      return run_gbench_suite(static_cast<int>(rest.size()), rest.data());
-#else
-      std::cerr << "bench_micro_kernels: built without Google Benchmark — "
-                   "the --gbench suite is unavailable (the chrono gate below "
-                   "runs regardless)\n";
-      return 2;
-#endif
-    } else if (arg == "--meta") {
+    if (arg == "--meta") {
       if (i + 1 >= argc) usage_error("--meta requires a path");
       meta_path = argv[++i];
     } else if (arg == "--min-speedup") {
@@ -381,131 +361,3 @@ int main(int argc, char** argv) {
   return ok ? 0 : 1;
 }
 
-#ifdef HYBRIMOE_HAVE_GBENCH
-
-#include <benchmark/benchmark.h>
-
-#include <memory>
-
-#include "cache/expert_cache.hpp"
-#include "cache/mrs_policy.hpp"
-#include "kernels/expert.hpp"
-#include "moe/router.hpp"
-#include "sched/simulator.hpp"
-#include "workload/generator.hpp"
-
-namespace {
-
-std::vector<sched::ExpertDemand> random_demands(util::Rng& rng, std::size_t count,
-                                                std::uint32_t max_load,
-                                                double cached_fraction) {
-  std::vector<sched::ExpertDemand> demands;
-  demands.reserve(count);
-  for (std::size_t e = 0; e < count; ++e) {
-    demands.push_back({static_cast<std::uint16_t>(e),
-                       static_cast<std::uint32_t>(rng.uniform_index(max_load) + 1),
-                       rng.bernoulli(cached_fraction)});
-  }
-  return demands;
-}
-
-void BM_HybridScheduleDecode(benchmark::State& state) {
-  const auto model = moe::ModelConfig::deepseek();
-  const hw::CostModel costs(hw::MachineProfile::a6000_xeon10(), model);
-  util::Rng rng(1);
-  const auto demands = random_demands(rng, static_cast<std::size_t>(state.range(0)), 1, 0.5);
-  for (auto _ : state) {
-    auto plan = sched::simulate_layer(0, sched::Stage::Decode, demands, costs);
-    benchmark::DoNotOptimize(plan.makespan);
-  }
-}
-BENCHMARK(BM_HybridScheduleDecode)->Arg(6)->Arg(8)->Arg(16);
-
-void BM_HybridSchedulePrefill(benchmark::State& state) {
-  const auto model = moe::ModelConfig::qwen2();
-  const hw::CostModel costs(hw::MachineProfile::a6000_xeon10(), model);
-  util::Rng rng(2);
-  const auto demands =
-      random_demands(rng, static_cast<std::size_t>(state.range(0)), 32, 0.25);
-  for (auto _ : state) {
-    auto plan = sched::simulate_layer(0, sched::Stage::Prefill, demands, costs);
-    benchmark::DoNotOptimize(plan.makespan);
-  }
-}
-BENCHMARK(BM_HybridSchedulePrefill)->Arg(16)->Arg(32)->Arg(64);
-
-void BM_CacheLookupInsert(benchmark::State& state) {
-  const auto model = moe::ModelConfig::deepseek();
-  cache::ExpertCache cache(cache::ExpertCache::capacity_for_ratio(model, 0.25),
-                           std::make_unique<cache::MrsPolicy>());
-  util::Rng rng(3);
-  for (auto _ : state) {
-    const moe::ExpertId id{
-        static_cast<std::uint16_t>(rng.uniform_index(model.num_layers)),
-        static_cast<std::uint16_t>(rng.uniform_index(model.num_routed_experts))};
-    if (!cache.lookup(id)) benchmark::DoNotOptimize(cache.insert(id));
-  }
-}
-BENCHMARK(BM_CacheLookupInsert);
-
-void BM_MrsScoreUpdate(benchmark::State& state) {
-  cache::MrsPolicy policy;
-  util::Rng rng(4);
-  std::vector<float> scores(64);
-  for (float& s : scores) s = static_cast<float>(rng.uniform());
-  for (auto _ : state) {
-    policy.on_scores(0, scores, 6);
-    benchmark::DoNotOptimize(policy.score({0, 0}));
-  }
-}
-BENCHMARK(BM_MrsScoreUpdate);
-
-void BM_RouterBatch(benchmark::State& state) {
-  const auto tokens = static_cast<std::size_t>(state.range(0));
-  moe::Router router(64, 6);
-  util::Rng rng(5);
-  std::vector<float> logits(tokens * 64);
-  for (float& v : logits) v = static_cast<float>(rng.gaussian());
-  for (auto _ : state) {
-    auto routing = router.route_batch(logits, tokens);
-    benchmark::DoNotOptimize(routing.loads.data());
-  }
-}
-BENCHMARK(BM_RouterBatch)->Arg(1)->Arg(32)->Arg(128);
-
-void BM_Q4ExpertForward(benchmark::State& state) {
-  util::Rng rng(6);
-  const auto dense = kernels::ExpertWeights::random(rng, 128, 256);
-  const kernels::QuantizedExpert expert(dense);
-  std::vector<float> x(128);
-  for (float& v : x) v = static_cast<float>(rng.gaussian());
-  for (auto _ : state) {
-    auto y = expert.forward(x);
-    benchmark::DoNotOptimize(y.data());
-  }
-}
-BENCHMARK(BM_Q4ExpertForward);
-
-void BM_TraceGenerationDecodeStep(benchmark::State& state) {
-  const auto model = moe::ModelConfig::deepseek();
-  workload::TraceGenParams params;
-  params.seed = 7;
-  workload::TraceGenerator gen(model, params);
-  for (auto _ : state) {
-    auto trace = gen.generate_decode(1);
-    benchmark::DoNotOptimize(trace.steps.front().layers.front().loads.data());
-  }
-}
-BENCHMARK(BM_TraceGenerationDecodeStep);
-
-}  // namespace
-
-int run_gbench_suite(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 2;
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return 0;
-}
-
-#endif  // HYBRIMOE_HAVE_GBENCH

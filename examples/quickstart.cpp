@@ -88,7 +88,6 @@ int main(int argc, char** argv) {
     const auto hybrimoe_decode = harness.run_decode(
         runtime::preset_spec(runtime::Framework::HybriMoE), kExecSteps);
     exec::ExecOptions options;
-    options.workers = 4;
     {
       exec::HybridExecutor probe(options);  // calibration only
       options.time_scale = std::max(0.4 / hybrimoe_decode.total_latency,

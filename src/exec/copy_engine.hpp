@@ -1,20 +1,22 @@
 #pragma once
 
 /// \file copy_engine.hpp
-/// The PCIe lane of the threaded execution backend: one dedicated thread
-/// servicing transfer jobs strictly in submission order, exactly as the
-/// simulator models the link as a single serially-occupied resource. Jobs
-/// are closures built by the executor — each performs the real work
-/// (memcpy of an expert weight blob into the device staging buffer) and
-/// paces itself to the scaled modeled transfer duration, then publishes its
-/// completion to the task graph.
+/// The serial-lane primitive of the threaded execution backend: one
+/// dedicated thread servicing jobs strictly in submission order, exactly as
+/// the simulator models each resource as a single serially-occupied lane.
+/// The executor runs one per host link (transfer jobs: memcpy of an expert
+/// weight blob into the device staging buffer), one for the CPU expert lane
+/// and one per extra accelerator. Jobs are closures built by the executor —
+/// each performs the real work, paces itself to the scaled modeled
+/// duration, then publishes its completion to the task graph.
 ///
 /// Thread-safety: submit() and drain() may be called from any thread (the
-/// executor calls them from the engine thread). Jobs run on the copy thread
+/// executor calls them from the engine thread). Jobs run on the lane thread
 /// only; completion ordering is FIFO by submission.
 
 #include <cstdint>
 #include <deque>
+#include <exception>
 #include <functional>
 #include <mutex>
 #include <thread>
@@ -23,18 +25,18 @@
 
 namespace hybrimoe::exec {
 
-/// Single-threaded asynchronous transfer servicer (the simulated PCIe link).
+/// Single-threaded FIFO job servicer (one simulated serially-occupied lane).
 class CopyEngine {
  public:
-  /// Spawns the copy thread.
+  /// Spawns the lane thread.
   CopyEngine();
-  /// Drains all queued jobs, then joins the copy thread.
+  /// Drains all queued jobs, then joins the lane thread.
   ~CopyEngine();
 
   CopyEngine(const CopyEngine&) = delete;
   CopyEngine& operator=(const CopyEngine&) = delete;
 
-  /// Enqueue a transfer job; jobs execute strictly in submission order.
+  /// Enqueue a job; jobs execute strictly in submission order.
   void submit(std::function<void()> job);
 
   /// Block until every submitted job has completed. Must not be called from
@@ -44,7 +46,7 @@ class CopyEngine {
   /// Jobs completed so far (monotonic).
   [[nodiscard]] std::uint64_t completed() const;
 
-  /// Rethrow the first exception that escaped a job, if any (the copy
+  /// Rethrow the first exception that escaped a job, if any (the lane
   /// thread swallowed it to stay alive). Clears the stored exception.
   void rethrow_pending_error();
 

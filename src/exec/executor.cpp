@@ -17,7 +17,7 @@
 namespace hybrimoe::exec {
 
 void ExecOptions::validate() const {
-  HYBRIMOE_REQUIRE(workers > 0, "executor needs at least one CPU worker");
+  HYBRIMOE_REQUIRE(workers == 1, "the CPU lane is one thread: workers must be 1");
   HYBRIMOE_REQUIRE(time_scale > 0.0 && std::isfinite(time_scale),
                    "time_scale must be positive and finite");
   HYBRIMOE_REQUIRE(d_model > 0 && d_ff > 0, "functional dimensions must be positive");
@@ -38,7 +38,7 @@ std::uint64_t hash_u64(std::uint64_t seed, std::uint64_t value) noexcept {
 }
 
 /// Per-layer completion board shared (by shared_ptr) with every task the
-/// layer spawns, so worker/copy-thread closures never reference the engine
+/// layer spawns, so lane/copy-thread closures never reference the engine
 /// thread's stack. `done[i]` publishes completion of plan task i's async
 /// prerequisite (transfer or CPU compute); the single mutex/cv pair is
 /// uncontended at the backend's millisecond pacing granularity.
@@ -69,7 +69,7 @@ HybridExecutor::HybridExecutor(ExecOptions options)
 HybridExecutor::~HybridExecutor() = default;
 
 void HybridExecutor::ensure_started(std::size_t num_links, std::size_t num_lanes) {
-  if (!pool_) pool_ = std::make_unique<ThreadPool>(options_.workers);
+  if (!cpu_lane_) cpu_lane_ = std::make_unique<CopyEngine>();
   while (copiers_.size() < num_links) {
     copy_scratch_.push_back(std::make_unique<std::vector<std::byte>>());
     copiers_.push_back(std::make_unique<CopyEngine>());
@@ -83,7 +83,7 @@ void HybridExecutor::begin_step(bool paced) {
   step_ = StepResult{};
   in_step_ = true;
   // Safe plain write: no backend task of this step exists yet, and task
-  // submission (pool/copier queues) establishes the happens-before edge for
+  // submission (lane/copier queues) establishes the happens-before edge for
   // every thread that later reads paced_.
   paced_ = paced;
 }
@@ -101,7 +101,10 @@ StepResult HybridExecutor::end_step() {
     lane->drain();
     lane->rethrow_pending_error();
   }
-  if (pool_) pool_->rethrow_pending_error();
+  if (cpu_lane_) {
+    cpu_lane_->drain();
+    cpu_lane_->rethrow_pending_error();
+  }
   return step_;
 }
 
@@ -109,16 +112,16 @@ void HybridExecutor::abort_step() noexcept {
   if (!in_step_) return;
   in_step_ = false;
   // Quiesce: every dispatched task publishes its completion even on error
-  // (see run_cpu_chain / the transfer jobs), so these waits terminate.
+  // (see run_cpu_task / the transfer jobs), so these waits terminate.
   try {
-    if (pool_) pool_->wait_idle();
+    if (cpu_lane_) cpu_lane_->drain();
     for (const auto& lane : gpu_lanes_) lane->drain();
     for (const auto& copier : copiers_) copier->drain();
   } catch (...) {  // wait/drain do not throw in practice; stay noexcept
   }
   // Discard pending task errors — the abort cause is already propagating.
   try {
-    if (pool_) pool_->rethrow_pending_error();
+    if (cpu_lane_) cpu_lane_->rethrow_pending_error();
   } catch (...) {
   }
   for (const auto& copier : copiers_) {
@@ -156,29 +159,26 @@ void HybridExecutor::copy_blob(moe::ExpertId id, std::vector<std::byte>& scratch
   std::memcpy(scratch.data(), blob.data(), blob.size());
 }
 
-void HybridExecutor::run_cpu_chain(const std::shared_ptr<LayerBoard>& board,
-                                   std::size_t pos) {
-  const LayerBoard::CpuTask& task = board->cpu[pos];
+void HybridExecutor::run_cpu_task(LayerBoard& board, std::size_t pos) {
+  const LayerBoard::CpuTask& task = board.cpu[pos];
   const auto t0 = PaceClock::now();
   // Completion must be published even if the kernel throws — the engine
   // thread is (or will be) blocked on cpu_remaining, and the error is
-  // surfaced via ThreadPool::rethrow_pending_error at the layer barrier.
+  // surfaced via the CPU lane's rethrow_pending_error at the layer barrier.
   std::exception_ptr error;
   try {
-    board->slots[task.idx] = store_.forward(task.id, board->input);
+    board.slots[task.idx] = store_.forward(task.id, board.input);
   } catch (...) {
     error = std::current_exception();
   }
   if (paced_) sleep_until_paced(t0 + task.dur);
   {
-    std::lock_guard lock(board->m);
-    board->done[task.idx] = 1;
-    --board->cpu_remaining;
-    board->cv.notify_all();
+    std::lock_guard lock(board.m);
+    board.done[task.idx] = 1;
+    --board.cpu_remaining;
+    board.cv.notify_all();
   }
-  if (pos + 1 < board->cpu.size())
-    pool_->submit([this, board, next = pos + 1] { run_cpu_chain(board, next); });
-  if (error) std::rethrow_exception(error);  // recorded by the worker loop
+  if (error) std::rethrow_exception(error);  // recorded by the lane's loop
 }
 
 std::vector<float> HybridExecutor::combine_and_digest(
@@ -186,7 +186,7 @@ std::vector<float> HybridExecutor::combine_and_digest(
   const auto& tasks = plan.tasks;
   // Fixed reduction order — ascending expert index, which is unique within a
   // layer — makes the float accumulation identical regardless of device
-  // assignment, completion order, or worker count.
+  // assignment or completion order.
   std::vector<std::size_t> order(tasks.size());
   std::iota(order.begin(), order.end(), std::size_t{0});
   std::sort(order.begin(), order.end(), [&tasks](std::size_t a, std::size_t b) {
@@ -258,7 +258,7 @@ LayerResult HybridExecutor::execute_layer(const sched::LayerPlan& plan, double o
   const double scale = options_.time_scale;
   const auto& tasks = plan.tasks;
 
-  // Materialize weights on the engine thread up front: workers then hit the
+  // Materialize weights on the engine thread up front: lanes then hit the
   // store's shared-lock fast path only.
   for (const auto& t : tasks) (void)store_.weights(t.expert);
 
@@ -327,11 +327,10 @@ LayerResult HybridExecutor::execute_layer(const sched::LayerPlan& plan, double o
         });
   }
 
-  // ---- CPU lane: chained through the worker pool in plan start order (the
-  // modeled CPU expert pool is one serially-occupied resource; the chain
-  // hops across workers via round-robin dispatch and stealing).
-  if (!board->cpu.empty())
-    pool_->submit([this, board] { run_cpu_chain(board, 0); });
+  // ---- CPU lane: FIFO on the lane's thread in plan start order (the
+  // modeled CPU expert pool is one serially-occupied resource).
+  for (std::size_t pos = 0; pos < board->cpu.size(); ++pos)
+    cpu_lane_->submit([this, board, pos] { run_cpu_task(*board, pos); });
 
   // ---- Extra accelerator lanes (devices 2..N): each on its dedicated
   // thread — dense head, then that device's tasks gated on their transfers.
@@ -374,7 +373,7 @@ LayerResult HybridExecutor::execute_layer(const sched::LayerPlan& plan, double o
       return board->cpu_remaining == 0 && board->lanes_remaining == 0;
     });
   }
-  pool_->rethrow_pending_error();
+  cpu_lane_->rethrow_pending_error();
 
   LayerResult result;
   // Unpaced steps report raw wall seconds (there is no modeled time to

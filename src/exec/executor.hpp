@@ -2,16 +2,17 @@
 
 /// \file executor.hpp
 /// The real threaded execution backend: takes the same sched::LayerPlan the
-/// discrete-event simulator consumes and actually dispatches it — CPU expert
-/// tasks to a work-stealing ThreadPool, transfers to one asynchronous
-/// CopyEngine thread *per host link*, primary-GPU-lane work (dense phase +
-/// routed experts of accelerator 0) to the calling engine thread, and each
-/// further accelerator's lane to its own dedicated thread — honoring the
-/// plan's dependencies: an uncached accelerator expert cannot start before
-/// its transfer completes, and each resource lane is serially occupied in
-/// plan order. Lanes and copiers are created lazily from the device count
-/// the executed plans actually carry, so single-accelerator engines spawn
-/// exactly the threads they did under the CPU+GPU pair model.
+/// discrete-event simulator consumes and actually dispatches it. Every
+/// resource is one lane with one thread: CPU expert tasks run on the CPU
+/// lane's CopyEngine thread, transfers on one CopyEngine thread *per host
+/// link*, primary-GPU-lane work (dense phase + routed experts of accelerator
+/// 0) on the calling engine thread, and each further accelerator's lane on
+/// its own CopyEngine thread. The plan's dependencies are honored: an
+/// uncached accelerator expert cannot start before its transfer completes,
+/// and each lane is serially occupied in plan order. Lanes and copiers are
+/// created lazily from the device count the executed plans actually carry,
+/// so single-accelerator engines spawn exactly the threads they did under
+/// the CPU+GPU pair model.
 ///
 /// Every expert task runs a real expert forward pass at the store's
 /// functional dimensions (SIMD-dispatched, fp32 or Q4), and every transfer
@@ -26,13 +27,13 @@
 /// dependency structure but drops every sleep, so the measured window is
 /// real kernel/copy time. Layer outputs are reduced in a fixed
 /// deterministic order, so threaded execution is bitwise-identical to the
-/// single-threaded reference at any worker count, paced or not.
+/// single-threaded reference, paced or not.
 ///
 /// Thread-safety: one executor drives one engine thread at a time —
 /// begin_step / execute_layer / pace_dense / end_step must be called from a
 /// single thread (the OffloadEngine step loop), and that thread doubles as
-/// the GPU lane. Internally the executor owns the worker pool and the copy
-/// thread; the ExpertStore is internally synchronized. Sharing one executor
+/// the GPU lane. Internally the executor owns the CPU-lane, copy and extra
+/// accelerator threads; the ExpertStore is internally synchronized. Sharing one executor
 /// across engines is fine as long as their steps do not interleave.
 
 #include <cstddef>
@@ -43,7 +44,6 @@
 
 #include "exec/copy_engine.hpp"
 #include "exec/expert_store.hpp"
-#include "exec/thread_pool.hpp"
 #include "hw/cost_model.hpp"
 #include "sched/plan.hpp"
 
@@ -73,8 +73,9 @@ enum class ExecutionMode : std::uint8_t {
 
 /// Tuning knobs of the threaded backend.
 struct ExecOptions {
-  /// CPU worker threads in the expert pool (>= 1).
-  std::size_t workers = 4;
+  /// Benchmark-pinned surface: bench/e2e sets it, so the field stays.
+  /// Threads of the CPU expert lane; the lane is one thread, so only 1 is valid.
+  std::size_t workers = 1;
   /// Wall-clock seconds per modeled second. Pick via calibrate_time_scale
   /// (or a wall-time target) so that paced durations dominate real kernel
   /// times and sleep overshoot; 1.0 means real time == modeled time.
@@ -110,7 +111,7 @@ struct LayerResult {
   /// time_scale); 0 for the single-threaded reference path.
   double measured = 0.0;
   /// Combined routed-expert output of the layer. Bitwise-deterministic
-  /// across backends, worker counts and device assignments.
+  /// across backends and device assignments.
   std::vector<float> output;
 };
 
@@ -159,7 +160,7 @@ class HybridExecutor {
   /// that link's copy thread (in per-link transfer_order, followed by the
   /// `async_copies` routed to it — speculative uploads that are *not* waited
   /// on and spill into subsequent layers exactly like the modeled per-link
-  /// carry), chains CPU tasks through the worker pool, runs the dense head
+  /// carry), queues CPU tasks on the CPU lane, runs the dense head
   /// (`overhead` + plan.gpu_offset) and accelerator 0's tasks on the calling
   /// thread, runs every further accelerator's lane on its dedicated thread,
   /// and returns once every compute task of the plan has finished. Engine
@@ -178,7 +179,7 @@ class HybridExecutor {
 
   /// Finish the step: waits for stragglers on the copy engine (their drain
   /// time is *not* part of the measurement — the simulator resets PCIe
-  /// carry between steps the same way), rethrows any worker/copy-thread
+  /// carry between steps the same way), rethrows any lane/copy-thread
   /// error, and returns the step's accumulated measurement/digest.
   [[nodiscard]] StepResult end_step();
 
@@ -213,11 +214,11 @@ class HybridExecutor {
 
  private:
   struct LayerBoard;
-  /// Lazily spawn the worker pool plus one copy thread per link and one lane
+  /// Lazily spawn the CPU lane plus one copy thread per link and one lane
   /// thread per extra accelerator (num_links >= 1, num_lanes >= 0).
   void ensure_started(std::size_t num_links, std::size_t num_lanes);
-  /// Run CPU-lane task `pos` of the board, then chain-submit `pos` + 1.
-  void run_cpu_chain(const std::shared_ptr<LayerBoard>& board, std::size_t pos);
+  /// Run CPU-lane task `pos` of the board on the CPU lane thread.
+  void run_cpu_task(LayerBoard& board, std::size_t pos);
   /// Run one accelerator's whole lane: dense head, then the tasks in
   /// `order`, each gated on its transfer. Accelerator 0's lane runs on the
   /// engine thread, every further one on its dedicated thread.
@@ -235,9 +236,9 @@ class HybridExecutor {
   /// Per-link device staging buffers (reused across every transfer of a
   /// link's lifetime); entry i is touched by copier i only.
   std::vector<std::unique_ptr<std::vector<std::byte>>> copy_scratch_;
-  // Declaration order is load-bearing: the copy/lane threads and worker pool
-  // are destroyed (joined) before the store/scratch their tasks reference.
-  std::unique_ptr<ThreadPool> pool_;
+  // Declaration order is load-bearing: the copy and lane threads are
+  // destroyed (joined) before the store/scratch their tasks reference.
+  std::unique_ptr<CopyEngine> cpu_lane_;               ///< CPU expert lane
   std::vector<std::unique_ptr<CopyEngine>> copiers_;   ///< one per link
   std::vector<std::unique_ptr<CopyEngine>> gpu_lanes_; ///< accel 1.. lanes
   StepResult step_;

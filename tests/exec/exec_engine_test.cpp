@@ -36,9 +36,8 @@ constexpr double kScale = 3e-4;
 #endif
 constexpr std::size_t kDecodeSteps = 6;
 
-exec::ExecOptions exec_options(std::size_t workers) {
+exec::ExecOptions exec_options() {
   exec::ExecOptions opts;
-  opts.workers = workers;
   opts.time_scale = kScale;
   return opts;
 }
@@ -54,23 +53,24 @@ ExperimentSpec tiny_spec() {
 }
 
 StageMetrics run_decode(ExperimentHarness& harness, Framework framework,
-                        exec::ExecutionMode mode, std::size_t workers) {
-  harness.set_execution(mode, std::make_shared<exec::HybridExecutor>(exec_options(workers)));
+                        exec::ExecutionMode mode) {
+  harness.set_execution(mode, std::make_shared<exec::HybridExecutor>(exec_options()));
   return harness.run_decode(preset_spec(framework), kDecodeSteps);
 }
 
 TEST(ExecEngine, ThreadedDigestMatchesSimulatedAtEveryWorkerCount) {
   ExperimentHarness harness(tiny_spec());
   const auto reference =
-      run_decode(harness, Framework::HybriMoE, exec::ExecutionMode::Simulated, 1);
+      run_decode(harness, Framework::HybriMoE, exec::ExecutionMode::Simulated);
   ASSERT_NE(reference.exec_digest, 0u);
   EXPECT_EQ(reference.measured_latency, 0.0);
 
-  for (const std::size_t workers : {1u, 2u, 8u}) {
+  // Three fresh executors: thread timing across runs must not reach the
+  // outputs.
+  for (int run = 0; run < 3; ++run) {
     const auto threaded =
-        run_decode(harness, Framework::HybriMoE, exec::ExecutionMode::Threaded, workers);
-    EXPECT_EQ(threaded.exec_digest, reference.exec_digest)
-        << "workers=" << workers;
+        run_decode(harness, Framework::HybriMoE, exec::ExecutionMode::Threaded);
+    EXPECT_EQ(threaded.exec_digest, reference.exec_digest) << "run " << run;
     EXPECT_EQ(threaded.total_latency, reference.total_latency)
         << "modeled time must not depend on the backend";
     EXPECT_GT(threaded.measured_latency, 0.0);
@@ -82,11 +82,11 @@ TEST(ExecEngine, DigestIsInvariantAcrossSchedulingPolicies) {
   // devices; execution must produce the same combined outputs regardless.
   ExperimentHarness harness(tiny_spec());
   const auto baseline =
-      run_decode(harness, Framework::HybriMoE, exec::ExecutionMode::Simulated, 1);
+      run_decode(harness, Framework::HybriMoE, exec::ExecutionMode::Simulated);
   for (const Framework framework :
        {Framework::AdapMoE, Framework::KTransformers, Framework::OnDemand}) {
     const auto other =
-        run_decode(harness, framework, exec::ExecutionMode::Threaded, 2);
+        run_decode(harness, framework, exec::ExecutionMode::Threaded);
     EXPECT_EQ(other.exec_digest, baseline.exec_digest)
         << to_string(framework);
   }
@@ -95,10 +95,10 @@ TEST(ExecEngine, DigestIsInvariantAcrossSchedulingPolicies) {
 TEST(ExecEngine, PrefillDigestMatchesAcrossModes) {
   ExperimentHarness harness(tiny_spec());
   harness.set_execution(exec::ExecutionMode::Simulated,
-                        std::make_shared<exec::HybridExecutor>(exec_options(1)));
+                        std::make_shared<exec::HybridExecutor>(exec_options()));
   const auto simulated = harness.run_prefill(preset_spec(Framework::HybriMoE), 8);
   harness.set_execution(exec::ExecutionMode::Threaded,
-                        std::make_shared<exec::HybridExecutor>(exec_options(4)));
+                        std::make_shared<exec::HybridExecutor>(exec_options()));
   const auto threaded = harness.run_prefill(preset_spec(Framework::HybriMoE), 8);
   ASSERT_NE(simulated.exec_digest, 0u);
   EXPECT_EQ(threaded.exec_digest, simulated.exec_digest);
@@ -113,7 +113,7 @@ TEST(ExecEngine, CapacityOneCacheForcesDependencyChainsAndStaysCorrect) {
   workload::TraceGenerator generator(spec.model, spec.trace);
   const auto trace = generator.generate_decode(kDecodeSteps);
 
-  auto build = [&](exec::ExecutionMode mode, std::size_t workers) {
+  auto build = [&](exec::ExecutionMode mode) {
     EngineComponents c;
     c.name = "stress";
     c.scheduler = std::make_unique<sched::SimScheduler>(sched::SimScheduler::gpu_centric());
@@ -121,12 +121,12 @@ TEST(ExecEngine, CapacityOneCacheForcesDependencyChainsAndStaysCorrect) {
         1, std::make_unique<cache::LruPolicy>()));
     c.update_policy_scores = false;
     c.execution_mode = mode;
-    c.executor = std::make_shared<exec::HybridExecutor>(exec_options(workers));
+    c.executor = std::make_shared<exec::HybridExecutor>(exec_options());
     return std::make_unique<OffloadEngine>(std::move(c), costs);
   };
 
-  const auto simulated = build(exec::ExecutionMode::Simulated, 1)->run_decode(trace);
-  const auto threaded = build(exec::ExecutionMode::Threaded, 8)->run_decode(trace);
+  const auto simulated = build(exec::ExecutionMode::Simulated)->run_decode(trace);
+  const auto threaded = build(exec::ExecutionMode::Threaded)->run_decode(trace);
   ASSERT_NE(simulated.exec_digest, 0u);
   EXPECT_EQ(threaded.exec_digest, simulated.exec_digest);
   EXPECT_GT(threaded.transfers, 0u);
@@ -136,7 +136,7 @@ TEST(ExecEngine, CapacityOneCacheForcesDependencyChainsAndStaysCorrect) {
 TEST(ExecEngine, MeasuredLatencyTracksModeledLatency) {
   ExperimentHarness harness(tiny_spec());
   const auto metrics =
-      run_decode(harness, Framework::HybriMoE, exec::ExecutionMode::Threaded, 4);
+      run_decode(harness, Framework::HybriMoE, exec::ExecutionMode::Threaded);
   // Asymmetric CI-safe envelope (tight undershoot bound = missing
   // serialization; loose overshoot bound = tolerate parallel-test load);
   // bench_exec_validation enforces the 25% bound.
@@ -156,10 +156,10 @@ TEST(ExecEngine, ServingPathCarriesDigestsThroughContinuousBatching) {
 
   ExperimentHarness harness(tiny_spec());
   harness.set_execution(exec::ExecutionMode::Simulated,
-                        std::make_shared<exec::HybridExecutor>(exec_options(1)));
+                        std::make_shared<exec::HybridExecutor>(exec_options()));
   const auto simulated = harness.serve_stream(preset_spec(Framework::HybriMoE), specs);
   harness.set_execution(exec::ExecutionMode::Threaded,
-                        std::make_shared<exec::HybridExecutor>(exec_options(4)));
+                        std::make_shared<exec::HybridExecutor>(exec_options()));
   const auto threaded = harness.serve_stream(preset_spec(Framework::HybriMoE), specs);
 
   ASSERT_NE(simulated.steps.exec_digest, 0u);

@@ -39,9 +39,8 @@ hw::CostModel unit_costs() {
   return {hw::MachineProfile::unit_test_machine(), moe::ModelConfig::tiny()};
 }
 
-ExecOptions options_with(std::size_t workers, double scale = kScale) {
+ExecOptions options_with(double scale = kScale) {
   ExecOptions opts;
-  opts.workers = workers;
   opts.time_scale = scale;
   return opts;
 }
@@ -53,7 +52,12 @@ std::vector<ExpertDemand> mixed_demands() {
 }
 
 TEST(ExecOptions, ValidatesStructure) {
-  EXPECT_THROW(options_with(0).validate(), std::invalid_argument);
+  // The CPU lane is one thread: workers accepts exactly 1.
+  for (const std::size_t workers : {0u, 2u}) {
+    ExecOptions bad_workers;
+    bad_workers.workers = workers;
+    EXPECT_THROW(bad_workers.validate(), std::invalid_argument) << "workers=" << workers;
+  }
   ExecOptions bad_scale;
   bad_scale.time_scale = 0.0;
   EXPECT_THROW(bad_scale.validate(), std::invalid_argument);
@@ -67,12 +71,12 @@ TEST(HybridExecutor, ThreadedOutputMatchesReferenceBitwise) {
   const auto demands = mixed_demands();
   const auto plan = sched::simulate_layer(0, Stage::Decode, demands, costs);
 
-  HybridExecutor threaded(options_with(4));
+  HybridExecutor threaded(options_with());
   threaded.begin_step();
   const auto real = threaded.execute_layer(plan, 0.0, {});
   const auto real_step = threaded.end_step();
 
-  HybridExecutor reference(options_with(4));
+  HybridExecutor reference(options_with());
   reference.begin_step();
   const auto ref = reference.execute_layer_reference(plan);
   const auto ref_step = reference.end_step();
@@ -88,9 +92,11 @@ TEST(HybridExecutor, ThreadedOutputMatchesReferenceBitwise) {
 TEST(HybridExecutor, DigestIsIdenticalAtOneTwoAndEightWorkers) {
   const auto costs = unit_costs();
   const auto demands = mixed_demands();
+  // Three fresh executors: thread timing across runs must not reach the
+  // outputs.
   std::vector<std::uint64_t> digests;
-  for (const std::size_t workers : {1u, 2u, 8u}) {
-    HybridExecutor executor(options_with(workers));
+  for (int run = 0; run < 3; ++run) {
+    HybridExecutor executor(options_with());
     executor.begin_step();
     for (std::uint16_t layer = 0; layer < 3; ++layer) {
       const auto plan = sched::simulate_layer(layer, Stage::Decode, demands, costs);
@@ -111,7 +117,7 @@ TEST(HybridExecutor, MeasuredTracksModeledLayerMakespan) {
   const auto plan = sched::simulate_layer(0, Stage::Decode, demands, costs, sim);
   const double modeled = overhead + plan.makespan;
 
-  HybridExecutor executor(options_with(2));
+  HybridExecutor executor(options_with());
   executor.begin_step();
   const auto result = executor.execute_layer(plan, overhead, {});
   (void)executor.end_step();
@@ -135,7 +141,7 @@ TEST(HybridExecutor, TransferGatesDependentGpuCompute) {
   ASSERT_TRUE(plan.tasks[0].transferred);
   const double modeled = plan.makespan;  // 3 (transfer) + 1 (gpu compute)
 
-  HybridExecutor executor(options_with(2));
+  HybridExecutor executor(options_with());
   executor.begin_step();
   const auto result = executor.execute_layer(plan, 0.0, {});
   (void)executor.end_step();
@@ -153,7 +159,7 @@ TEST(HybridExecutor, AsyncCopiesDoNotBlockTheLayer) {
 
   // Paced coarser than kScale (one unit = 3ms), so scheduler delays on a
   // loaded host stay a small fraction of the 10-unit margin below.
-  HybridExecutor executor(options_with(2, kCoarseScale));
+  HybridExecutor executor(options_with(kCoarseScale));
   executor.begin_step();
   // Four speculative copies of 10 units each would add 40 units if the layer
   // waited on them; the layer window must not include that.
@@ -173,7 +179,7 @@ TEST(HybridExecutor, StepProtocolIsEnforced) {
   const auto costs = unit_costs();
   const auto plan =
       sched::simulate_layer(0, Stage::Decode, mixed_demands(), costs);
-  HybridExecutor executor(options_with(1));
+  HybridExecutor executor(options_with());
   EXPECT_THROW((void)executor.execute_layer(plan, 0.0, {}), std::invalid_argument);
   EXPECT_THROW((void)executor.end_step(), std::invalid_argument);
   executor.begin_step();
@@ -188,7 +194,7 @@ TEST(HybridExecutor, AbortStepUnwedgesTheExecutor) {
   // executor permanently rejecting begin_step.
   const auto costs = unit_costs();
   const auto plan = sched::simulate_layer(0, Stage::Decode, mixed_demands(), costs);
-  HybridExecutor executor(options_with(2));
+  HybridExecutor executor(options_with());
   executor.abort_step();  // no open step: no-op
   executor.begin_step();
   (void)executor.execute_layer(plan, 0.0, {});
@@ -200,7 +206,7 @@ TEST(HybridExecutor, AbortStepUnwedgesTheExecutor) {
 
 TEST(HybridExecutor, CalibrateTimeScaleCoversRealKernelTimes) {
   const auto costs = unit_costs();
-  HybridExecutor executor(options_with(1));
+  HybridExecutor executor(options_with());
   const double scale = executor.calibrate_time_scale(costs, 4.0);
   EXPECT_GT(scale, 0.0);
   // At the returned scale the fastest modeled task (1 unit on this machine)

@@ -36,9 +36,8 @@ constexpr double kScale = 3e-4;
 #endif
 constexpr std::size_t kDecodeSteps = 6;
 
-exec::ExecOptions exec_options(std::size_t workers, bool quantized = false) {
+exec::ExecOptions exec_options(bool quantized = false) {
   exec::ExecOptions opts;
-  opts.workers = workers;
   opts.time_scale = kScale;
   opts.quantized_experts = quantized;
   return opts;
@@ -55,9 +54,9 @@ ExperimentSpec tiny_spec() {
 }
 
 StageMetrics run_decode(ExperimentHarness& harness, exec::ExecutionMode mode,
-                        std::size_t workers, bool quantized = false) {
+                        bool quantized = false) {
   harness.set_execution(
-      mode, std::make_shared<exec::HybridExecutor>(exec_options(workers, quantized)));
+      mode, std::make_shared<exec::HybridExecutor>(exec_options(quantized)));
   return harness.run_decode(preset_spec(Framework::HybriMoE), kDecodeSteps);
 }
 
@@ -70,16 +69,16 @@ TEST(PerformanceMode, ToStringAndModeNames) {
 TEST(PerformanceMode, DigestBitIdenticalToSimulatedAndThreadedOnFp32) {
   ExperimentHarness harness(tiny_spec());
   const auto simulated =
-      run_decode(harness, exec::ExecutionMode::Simulated, 1);
+      run_decode(harness, exec::ExecutionMode::Simulated);
   ASSERT_NE(simulated.exec_digest, 0u);
-  const auto threaded = run_decode(harness, exec::ExecutionMode::Threaded, 2);
+  const auto threaded = run_decode(harness, exec::ExecutionMode::Threaded);
   EXPECT_EQ(threaded.exec_digest, simulated.exec_digest);
 
-  for (const std::size_t workers : {1u, 2u, 8u}) {
-    const auto performance =
-        run_decode(harness, exec::ExecutionMode::Performance, workers);
-    EXPECT_EQ(performance.exec_digest, simulated.exec_digest)
-        << "workers=" << workers;
+  // Three fresh executors: thread timing across runs must not reach the
+  // outputs.
+  for (int run = 0; run < 3; ++run) {
+    const auto performance = run_decode(harness, exec::ExecutionMode::Performance);
+    EXPECT_EQ(performance.exec_digest, simulated.exec_digest) << "run " << run;
     EXPECT_EQ(performance.total_latency, simulated.total_latency)
         << "modeled time must not depend on the backend";
     EXPECT_GT(performance.measured_latency, 0.0);
@@ -88,9 +87,9 @@ TEST(PerformanceMode, DigestBitIdenticalToSimulatedAndThreadedOnFp32) {
 
 TEST(PerformanceMode, MeasuredLatencyStrictlyBelowPacedThreaded) {
   ExperimentHarness harness(tiny_spec());
-  const auto threaded = run_decode(harness, exec::ExecutionMode::Threaded, 2);
+  const auto threaded = run_decode(harness, exec::ExecutionMode::Threaded);
   const auto performance =
-      run_decode(harness, exec::ExecutionMode::Performance, 2);
+      run_decode(harness, exec::ExecutionMode::Performance);
   ASSERT_GT(threaded.measured_latency, 0.0);
   ASSERT_GT(performance.measured_latency, 0.0);
   // Threaded sleeps every task out to its modeled deadline; Performance runs
@@ -105,11 +104,11 @@ TEST(PerformanceMode, MeasuredLatencyStrictlyBelowPacedThreaded) {
 TEST(PerformanceMode, PrefillDigestMatchesAcrossModes) {
   ExperimentHarness harness(tiny_spec());
   harness.set_execution(exec::ExecutionMode::Simulated,
-                        std::make_shared<exec::HybridExecutor>(exec_options(1)));
+                        std::make_shared<exec::HybridExecutor>(exec_options()));
   const auto simulated = harness.run_prefill(preset_spec(Framework::HybriMoE), 8);
   ASSERT_NE(simulated.exec_digest, 0u);
   harness.set_execution(exec::ExecutionMode::Performance,
-                        std::make_shared<exec::HybridExecutor>(exec_options(4)));
+                        std::make_shared<exec::HybridExecutor>(exec_options()));
   const auto performance = harness.run_prefill(preset_spec(Framework::HybriMoE), 8);
   EXPECT_EQ(performance.exec_digest, simulated.exec_digest);
   EXPECT_GT(performance.measured_latency, 0.0);
@@ -120,12 +119,12 @@ TEST(PerformanceMode, QuantizedExpertsAreDeterministicAcrossRunsAndModes) {
   // but within the quantized configuration the digest must be reproducible
   // run to run and across backends that share the dispatched kernels.
   ExperimentHarness harness(tiny_spec());
-  const auto fp32 = run_decode(harness, exec::ExecutionMode::Performance, 2);
-  const auto first = run_decode(harness, exec::ExecutionMode::Performance, 2,
+  const auto fp32 = run_decode(harness, exec::ExecutionMode::Performance);
+  const auto first = run_decode(harness, exec::ExecutionMode::Performance,
                                 /*quantized=*/true);
-  const auto second = run_decode(harness, exec::ExecutionMode::Performance, 4,
+  const auto second = run_decode(harness, exec::ExecutionMode::Performance,
                                  /*quantized=*/true);
-  const auto threaded = run_decode(harness, exec::ExecutionMode::Threaded, 2,
+  const auto threaded = run_decode(harness, exec::ExecutionMode::Threaded,
                                    /*quantized=*/true);
   ASSERT_NE(first.exec_digest, 0u);
   EXPECT_EQ(second.exec_digest, first.exec_digest);

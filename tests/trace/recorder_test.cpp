@@ -176,7 +176,6 @@ TEST(RecorderTest, TracedTransfersMatchCopyEngineCompletions) {
   // executor's completed-job counters — conservation between the modeled
   // records and the real execution backend.
   exec::ExecOptions exec_options;
-  exec_options.workers = 2;
   exec_options.time_scale = kExecScale;
   auto executor = std::make_shared<exec::HybridExecutor>(exec_options);
 

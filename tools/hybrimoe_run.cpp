@@ -48,9 +48,8 @@ options:
   --cache-ratio R       GPU expert cache ratio in [0,1]     (default 0.25)
   --requests N          number of requests in the stream    (default 12)
   --rate R              mean arrival rate, requests/second  (default 1.0)
-  --burst               burst arrivals instead of Poisson
   --arrival SHAPE       arrival process: poisson | burst | diurnal
-                        (default poisson; overrides --burst)
+                        (default poisson)
   --diurnal-period S    diurnal sinusoid period in seconds  (default 60)
   --diurnal-amplitude A relative diurnal rate swing in [0,1) (default 0.5)
   --seed N              stream + trace seed                 (default 42)
@@ -119,8 +118,7 @@ struct Options {
   double cache_ratio = 0.25;
   std::size_t requests = 12;
   double rate = 1.0;
-  bool burst = false;
-  std::string arrival;  ///< empty = --burst flag decides (back-compat)
+  std::string arrival = "poisson";
   double diurnal_period = 60.0;
   double diurnal_amplitude = 0.5;
   std::uint64_t seed = 42;
@@ -194,8 +192,6 @@ Options parse_options(int argc, char** argv) {
       std::exit(0);
     } else if (arg == "--print-spec") {
       opts.print_spec = true;
-    } else if (arg == "--burst") {
-      opts.burst = true;
     } else if (arg == "--arrival") {
       opts.arrival = next(i, "--arrival");
     } else if (arg == "--diurnal-period") {
@@ -306,7 +302,6 @@ int main(int argc, char** argv) {
     }
     runtime::ExperimentSpec spec;
     spec.model = model_from_name(opts.model);
-    spec.machine = hw::MachineProfile::a6000_xeon10();
     spec.topology = runtime::resolve_topology(stack.topology);
     spec.cache_ratio = opts.cache_ratio;
     spec.trace.seed = opts.seed;
@@ -333,10 +328,7 @@ int main(int argc, char** argv) {
     workload::RequestStreamParams stream;
     stream.num_requests = opts.requests;
     stream.arrival_rate = opts.rate;
-    stream.process = opts.burst ? workload::ArrivalProcess::Burst
-                                : workload::ArrivalProcess::Poisson;
-    if (!opts.arrival.empty())
-      stream.process = workload::arrival_from_name(opts.arrival);
+    stream.process = workload::arrival_from_name(opts.arrival);
     stream.diurnal_period = opts.diurnal_period;
     stream.diurnal_amplitude = opts.diurnal_amplitude;
     stream.seed = opts.seed;
