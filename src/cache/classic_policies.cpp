@@ -27,43 +27,30 @@ moe::ExpertId min_by(std::span<const moe::ExpertId> candidates, KeyFn key) {
 }  // namespace
 
 moe::ExpertId LruPolicy::choose_victim(std::span<const moe::ExpertId> candidates) {
-  return min_by(candidates, [&](moe::ExpertId id) {
-    const auto it = stamp_.find(id);
-    return it != stamp_.end() ? it->second : 0;
-  });
+  return min_by(candidates, [&](moe::ExpertId id) { return stamp_.get(id); });
 }
 
 double LruPolicy::priority(moe::ExpertId id) const {
-  const auto it = stamp_.find(id);
-  return it != stamp_.end() ? static_cast<double>(it->second) : 0.0;
+  return static_cast<double>(stamp_.get(id));
 }
 
 moe::ExpertId LfuPolicy::choose_victim(std::span<const moe::ExpertId> candidates) {
   // Pair (count, recency): least frequent first, oldest first on ties.
   return min_by(candidates, [&](moe::ExpertId id) {
-    const auto cit = count_.find(id);
-    const auto sit = stamp_.find(id);
-    const std::uint64_t c = cit != count_.end() ? cit->second : 0;
-    const std::uint64_t s = sit != stamp_.end() ? sit->second : 0;
-    return std::pair<std::uint64_t, std::uint64_t>{c, s};
+    return std::pair<std::uint64_t, std::uint64_t>{count_.get(id), stamp_.get(id)};
   });
 }
 
 double LfuPolicy::priority(moe::ExpertId id) const {
-  const auto it = count_.find(id);
-  return it != count_.end() ? static_cast<double>(it->second) : 0.0;
+  return static_cast<double>(count_.get(id));
 }
 
 moe::ExpertId FifoPolicy::choose_victim(std::span<const moe::ExpertId> candidates) {
-  return min_by(candidates, [&](moe::ExpertId id) {
-    const auto it = order_.find(id);
-    return it != order_.end() ? it->second : 0;
-  });
+  return min_by(candidates, [&](moe::ExpertId id) { return order_.get(id); });
 }
 
 double FifoPolicy::priority(moe::ExpertId id) const {
-  const auto it = order_.find(id);
-  return it != order_.end() ? static_cast<double>(it->second) : 0.0;
+  return static_cast<double>(order_.get(id));
 }
 
 moe::ExpertId RandomPolicy::choose_victim(std::span<const moe::ExpertId> candidates) {
@@ -71,25 +58,27 @@ moe::ExpertId RandomPolicy::choose_victim(std::span<const moe::ExpertId> candida
   return candidates[static_cast<std::size_t>(rng_.uniform_index(candidates.size()))];
 }
 
-BeladyPolicy::BeladyPolicy(std::vector<moe::ExpertId> reference_string) {
-  for (std::size_t pos = 0; pos < reference_string.size(); ++pos)
-    positions_[reference_string[pos]].push_back(pos);
+BeladyPolicy::BeladyPolicy(std::vector<moe::ExpertId> reference_string)
+    : next_(reference_string.size()) {
+  // Backwards, so each id's cursor ends at its first position.
+  for (std::size_t pos = reference_string.size(); pos-- > 0;) {
+    std::size_t& cursor = cursor_.at(reference_string[pos]);
+    next_[pos] = cursor;
+    cursor = pos + 1;
+  }
 }
 
 void BeladyPolicy::on_reference(moe::ExpertId id) {
-  auto it = positions_.find(id);
-  HYBRIMOE_REQUIRE(it != positions_.end() && !it->second.empty() &&
-                       it->second.front() == clock_,
+  const std::size_t cursor = cursor_.get(id);
+  HYBRIMOE_REQUIRE(cursor == clock_ + 1,
                    "Belady reference stream diverged from the provided string");
-  it->second.pop_front();
+  cursor_.at(id) = next_[clock_];
   ++clock_;
 }
 
 std::size_t BeladyPolicy::next_use(moe::ExpertId id) const {
-  const auto it = positions_.find(id);
-  if (it == positions_.end() || it->second.empty())
-    return std::numeric_limits<std::size_t>::max();
-  return it->second.front();
+  const std::size_t cursor = cursor_.get(id);
+  return cursor == 0 ? std::numeric_limits<std::size_t>::max() : cursor - 1;
 }
 
 moe::ExpertId BeladyPolicy::choose_victim(std::span<const moe::ExpertId> candidates) {

@@ -1,6 +1,5 @@
 #include "cache/expert_cache.hpp"
 
-#include <algorithm>
 #include <cmath>
 
 #include "util/assert.hpp"
@@ -38,16 +37,15 @@ void ExpertCache::record_miss(moe::ExpertId id) {
 std::vector<moe::ExpertId> ExpertCache::evictable(
     std::span<const moe::ExpertId> extra_protected) const {
   std::vector<moe::ExpertId> out;
-  out.reserve(resident_.size());
-  for (const auto& id : resident_) {
-    if (pinned_.contains(id)) continue;
-    if (std::find(extra_protected.begin(), extra_protected.end(), id) !=
-        extra_protected.end())
-      continue;
-    out.push_back(id);
-  }
-  // Deterministic candidate order regardless of hash-set iteration order.
-  std::sort(out.begin(), out.end());
+  out.reserve(size_);
+  resident_.for_each_word([&](std::size_t layer, std::size_t w, std::uint64_t bits) {
+    bits &= ~pinned_.word(layer, w);
+    if (bits == 0) return;
+    for (const moe::ExpertId p : extra_protected)
+      if (p.layer == layer && ExpertBitset::word_index(p) == w) bits &= ~ExpertBitset::mask(p);
+    ExpertBitset::for_each_bit(layer, w, bits,
+                               [&](moe::ExpertId id) { out.push_back(id); });
+  });
   return out;
 }
 
@@ -60,20 +58,22 @@ InsertResult ExpertCache::insert(moe::ExpertId id,
   if (resident_.contains(id)) return {.inserted = true, .evicted = std::nullopt};
 
   InsertResult result;
-  if (resident_.size() >= capacity_) {
+  if (size_ >= capacity_) {
     const auto candidates = evictable(do_not_evict);
     if (candidates.empty()) {
       ++stats_.rejected_insertions;
       return {};
     }
     const moe::ExpertId victim = policy_->choose_victim(candidates);
-    HYBRIMOE_ASSERT(resident_.contains(victim), "policy chose a non-resident victim");
-    resident_.erase(victim);
+    const bool was_resident = resident_.erase(victim);
+    HYBRIMOE_ASSERT(was_resident, "policy chose a non-resident victim");
+    --size_;
     policy_->on_evict(victim);
     ++stats_.evictions;
     result.evicted = victim;
   }
   resident_.insert(id);
+  ++size_;
   policy_->on_insert(id);
   ++stats_.insertions;
   result.inserted = true;
@@ -88,6 +88,7 @@ void ExpertCache::insert_pinned(moe::ExpertId id) {
 
 bool ExpertCache::erase(moe::ExpertId id) {
   if (!resident_.erase(id)) return false;
+  --size_;
   pinned_.erase(id);
   policy_->on_evict(id);
   return true;
@@ -99,8 +100,12 @@ void ExpertCache::update_scores(std::uint16_t layer, std::span<const float> scor
 }
 
 std::vector<moe::ExpertId> ExpertCache::residents() const {
-  std::vector<moe::ExpertId> out(resident_.begin(), resident_.end());
-  std::sort(out.begin(), out.end());
+  std::vector<moe::ExpertId> out;
+  out.reserve(size_);
+  resident_.for_each_word([&](std::size_t layer, std::size_t w, std::uint64_t bits) {
+    ExpertBitset::for_each_bit(layer, w, bits,
+                               [&](moe::ExpertId id) { out.push_back(id); });
+  });
   return out;
 }
 

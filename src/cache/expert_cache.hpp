@@ -11,12 +11,20 @@
 /// experts are permanent GPU residents outside this budget; *pinned* entries
 /// (kTransformers-style static placement) live inside the budget but are
 /// never evicted.
+///
+/// Residency and pinnedness are ExpertBitsets (expert_table.hpp): per-layer
+/// bit words grown on first touch, plus a size counter. A residency probe is
+/// one word test, and the eviction candidates come from walking layers, then
+/// set bits, which yields them in ascending ExpertId order without a sort.
+/// That order is part of the contract: every deterministic policy breaks a
+/// tie on its key toward the first candidate, and RandomPolicy indexes the
+/// list, so the candidate order decides the victim.
 
 #include <memory>
 #include <optional>
-#include <unordered_set>
 #include <vector>
 
+#include "cache/expert_table.hpp"
 #include "cache/policy.hpp"
 #include "moe/model_config.hpp"
 
@@ -53,12 +61,14 @@ class ExpertCache {
                                                       double ratio);
 
   [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }
-  [[nodiscard]] std::size_t size() const noexcept { return resident_.size(); }
-  [[nodiscard]] bool full() const noexcept { return resident_.size() >= capacity_; }
-  [[nodiscard]] bool contains(moe::ExpertId id) const {
+  [[nodiscard]] std::size_t size() const noexcept { return size_; }
+  [[nodiscard]] bool full() const noexcept { return size_ >= capacity_; }
+  [[nodiscard]] bool contains(moe::ExpertId id) const noexcept {
     return resident_.contains(id);
   }
-  [[nodiscard]] bool is_pinned(moe::ExpertId id) const { return pinned_.contains(id); }
+  [[nodiscard]] bool is_pinned(moe::ExpertId id) const noexcept {
+    return pinned_.contains(id);
+  }
 
   [[nodiscard]] CachePolicy& policy() noexcept { return *policy_; }
   [[nodiscard]] const CachePolicy& policy() const noexcept { return *policy_; }
@@ -76,7 +86,9 @@ class ExpertCache {
 
   /// Non-recording residency probe (used by schedulers building demands
   /// after lookups were already counted).
-  [[nodiscard]] bool probe(moe::ExpertId id) const { return resident_.contains(id); }
+  [[nodiscard]] bool probe(moe::ExpertId id) const noexcept {
+    return resident_.contains(id);
+  }
 
   /// Make `id` resident, evicting a policy-chosen victim if full. Entries in
   /// `do_not_evict` are treated as pinned for this call (e.g. experts the
@@ -95,20 +107,24 @@ class ExpertCache {
   void update_scores(std::uint16_t layer, std::span<const float> scores,
                      std::size_t top_k);
 
-  /// Snapshot of resident ids (unspecified order).
+  /// Snapshot of resident ids in ascending ExpertId order (layer, then
+  /// expert).
   [[nodiscard]] std::vector<moe::ExpertId> residents() const;
 
-  /// The entry the policy would evict next (nullopt when nothing evictable).
+  /// The entry the policy would evict next (nullopt when nothing evictable):
+  /// the victim of the next insert into a full cache with nothing protected.
   [[nodiscard]] std::optional<moe::ExpertId> peek_victim();
 
  private:
+  /// Resident, unpinned entries not in `extra_protected`, ascending.
   [[nodiscard]] std::vector<moe::ExpertId> evictable(
       std::span<const moe::ExpertId> extra_protected) const;
 
   std::size_t capacity_;
   std::unique_ptr<CachePolicy> policy_;
-  std::unordered_set<moe::ExpertId> resident_;
-  std::unordered_set<moe::ExpertId> pinned_;
+  ExpertBitset resident_;
+  ExpertBitset pinned_;  ///< always a subset of resident_
+  std::size_t size_ = 0;  ///< members of resident_
   CacheStats stats_;
 };
 

@@ -44,6 +44,7 @@ void MrsPolicy::on_scores(std::uint16_t layer, std::span<const float> scores,
       std::count_if(scores.begin(), scores.end(),
                     [threshold](float s) { return s > threshold; }));
   std::size_t tie_budget = p - above;
+  const std::span<double> table = scores_->row(layer, scores.size());
   for (std::size_t e = 0; e < scores.size(); ++e) {
     bool in_top_p = scores[e] > threshold;
     if (!in_top_p && scores[e] == threshold && tie_budget > 0) {
@@ -51,9 +52,7 @@ void MrsPolicy::on_scores(std::uint16_t layer, std::span<const float> scores,
       --tie_budget;
     }
     const double contribution = in_top_p ? static_cast<double>(scores[e]) : 0.0;
-    const moe::ExpertId id{layer, static_cast<std::uint16_t>(e)};
-    auto [it, inserted] = scores_->try_emplace(id, 0.0);
-    it->second = params_.alpha * contribution + (1.0 - params_.alpha) * it->second;
+    table[e] = params_.alpha * contribution + (1.0 - params_.alpha) * table[e];
   }
 }
 
@@ -71,9 +70,6 @@ moe::ExpertId MrsPolicy::choose_victim(std::span<const moe::ExpertId> candidates
   return best;
 }
 
-double MrsPolicy::score(moe::ExpertId id) const {
-  const auto it = scores_->find(id);
-  return it != scores_->end() ? it->second : 0.0;
-}
+double MrsPolicy::score(moe::ExpertId id) const { return scores_->get(id); }
 
 }  // namespace hybrimoe::cache

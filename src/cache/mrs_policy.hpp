@@ -15,8 +15,8 @@
 
 #include <cstdint>
 #include <memory>
-#include <unordered_map>
 
+#include "cache/expert_table.hpp"
 #include "cache/policy.hpp"
 
 namespace hybrimoe::cache {
@@ -60,7 +60,8 @@ class MrsPolicy final : public CachePolicy {
   [[nodiscard]] double priority(moe::ExpertId id) const override { return score(id); }
 
  private:
-  using ScoreTable = std::unordered_map<moe::ExpertId, double>;
+  /// S per (layer, expert); a never-scored entry reads 0.
+  using ScoreTable = ExpertTable<double>;
   MrsPolicy(Params params, std::shared_ptr<ScoreTable> table);
 
   Params params_;

@@ -19,6 +19,8 @@ namespace hybrimoe::cache {
 
 /// Replacement policy. Implementations must be deterministic given the same
 /// event sequence (RandomPolicy is deterministic via its seeded Rng).
+/// Benchmark-pinned surface: bench/e2e wraps a CachePolicy, so this virtual
+/// interface stays.
 class CachePolicy {
  public:
   virtual ~CachePolicy() = default;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <unordered_set>
 
 #include "util/assert.hpp"
 
@@ -15,13 +14,14 @@ namespace {
 std::vector<sched::ExpertDemand> predicted_demands(
     const moe::LayerRouting& routing, std::uint16_t layer,
     const cache::ExpertCache& cache,
-    const std::unordered_set<moe::ExpertId>& committed,
+    std::span<const moe::ExpertId> committed,
     const std::unordered_set<moe::ExpertId>* extra_resident) {
   std::vector<sched::ExpertDemand> demands;
   for (std::uint32_t e = 0; e < routing.loads.size(); ++e) {
     if (routing.loads[e] == 0) continue;
     const moe::ExpertId id{layer, static_cast<std::uint16_t>(e)};
-    const bool resident = cache.probe(id) || committed.contains(id) ||
+    const bool resident = cache.probe(id) ||
+                          std::ranges::find(committed, id) != committed.end() ||
                           (extra_resident != nullptr && extra_resident->contains(id));
     demands.push_back({static_cast<std::uint16_t>(e), routing.loads[e], resident});
   }
@@ -54,7 +54,8 @@ std::vector<PrefetchDecision> ImpactDrivenPrefetcher::plan(
   std::vector<PrefetchDecision> decisions;
   if (cache.capacity() == 0) return decisions;
   const double xfer = costs.transfer_time(0);
-  std::unordered_set<moe::ExpertId> committed;
+  // At most max_per_layer entries: a linear scan beats hashing.
+  std::vector<moe::ExpertId> committed;
 
   // `budget_seconds` is the window in which a transfer may *start* (the link
   // keeps running across layer boundaries), so we issue while any window
@@ -99,7 +100,7 @@ std::vector<PrefetchDecision> ImpactDrivenPrefetcher::plan(
 
     if (!found || best.impact <= 0.0) break;
     decisions.push_back(best);
-    committed.insert(best.expert);
+    committed.push_back(best.expert);
     budget_seconds -= xfer;
   }
   return decisions;

@@ -40,6 +40,8 @@ struct PrefetchDecision {
 /// while the current layer computes; each decision consumes one expert
 /// transfer from it. `extra_resident` lists experts already uploaded outside
 /// the cache (prefill-stage transient buffers) that must not be re-fetched.
+/// Benchmark-pinned surface: bench/e2e overrides plan(), so its signature
+/// (the `unordered_set` pointer included) stays.
 class Prefetcher {
  public:
   virtual ~Prefetcher() = default;

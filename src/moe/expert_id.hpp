@@ -2,8 +2,8 @@
 
 /// \file expert_id.hpp
 /// Strongly-typed (layer, expert) key used by the cache, the schedulers and
-/// the prefetcher. Kept trivially copyable and hashable so it can index flat
-/// maps on hot paths.
+/// the prefetcher. Trivially copyable and hashable; its ordering (layer, then
+/// expert) is the candidate order the cache hands its replacement policies.
 
 #include <compare>
 #include <cstddef>
@@ -19,7 +19,10 @@ struct ExpertId {
 
   friend constexpr auto operator<=>(const ExpertId&, const ExpertId&) = default;
 
-  /// Dense encoding, usable as an array index when bounds are known.
+  /// Packs the id as `layer << 16 | expert`: an order-preserving 32-bit key
+  /// and a perfect hash, but not a dense index. Each layer spans 65,536
+  /// codes however many experts it has; flat per-expert state indexes by
+  /// (layer, expert) instead (cache/expert_table.hpp).
   [[nodiscard]] constexpr std::uint32_t encode() const noexcept {
     return (static_cast<std::uint32_t>(layer) << 16) | expert;
   }

@@ -41,6 +41,8 @@ struct ComponentContext {
   sched::LayerScheduler* scheduler = nullptr;
 };
 
+/// Benchmark-pinned surface: bench/e2e wraps these factories, so the
+/// SchedulerFactory, CachePolicyFactory and PrefetcherFactory types stay.
 using SchedulerFactory =
     std::function<std::unique_ptr<sched::LayerScheduler>(const ComponentContext&)>;
 using CachePolicyFactory =

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <optional>
 
 #include "cache/classic_policies.hpp"
 #include "cache/mrs_policy.hpp"
@@ -75,6 +76,15 @@ TEST(ExpertCacheTest, PinnedEntriesNeverEvicted) {
   for (std::uint16_t e = 3; e < 10; ++e) (void)cache->insert(id(0, e));
   EXPECT_TRUE(cache->contains(id(0, 1)));
   EXPECT_TRUE(cache->is_pinned(id(0, 1)));
+
+  // Erased, then reinserted unpinned, it is an ordinary entry and ages out.
+  EXPECT_TRUE(cache->erase(id(0, 1)));
+  EXPECT_FALSE(cache->is_pinned(id(0, 1)));
+  EXPECT_TRUE(cache->insert(id(0, 1)).inserted);
+  EXPECT_FALSE(cache->is_pinned(id(0, 1)));
+  (void)cache->insert(id(0, 10));
+  (void)cache->insert(id(0, 11));
+  EXPECT_FALSE(cache->contains(id(0, 1)));
 }
 
 TEST(ExpertCacheTest, AllPinnedInsertFails) {
@@ -98,15 +108,27 @@ TEST(ExpertCacheTest, DoNotEvictProtection) {
   ASSERT_TRUE(r.evicted.has_value());
   EXPECT_EQ(*r.evicted, id(0, 2));
   EXPECT_TRUE(cache->contains(id(0, 1)));
+
+  // Protection names one expert, not its bit position in every word:
+  // protecting (0,1) leaves (0,65), the next-oldest, evictable.
+  auto wide = make_lru(3);
+  for (const ExpertId e : {id(0, 1), id(0, 65), id(0, 2)}) (void)wide->insert(e);
+  EXPECT_EQ(wide->insert(id(0, 3), protected_ids).evicted, std::optional<ExpertId>(id(0, 65)));
 }
 
 TEST(ExpertCacheTest, AllProtectedInsertFails) {
-  auto cache = make_lru(1);
-  (void)cache->insert(id(0, 1));
-  const std::vector<ExpertId> protected_ids{id(0, 1)};
-  const auto r = cache->insert(id(0, 2), protected_ids);
+  auto cache = make_lru(3);
+  cache->insert_pinned(id(0, 1));
+  (void)cache->insert(id(0, 2));
+  (void)cache->insert(id(1, 70));
+  // (0,1) is pinned; the other two are protected for this call.
+  const std::vector<ExpertId> protected_ids{id(1, 70), id(0, 2)};
+  const auto r = cache->insert(id(3, 3), protected_ids);
   EXPECT_FALSE(r.inserted);
-  EXPECT_TRUE(cache->contains(id(0, 1)));
+  EXPECT_FALSE(r.evicted.has_value());
+  EXPECT_EQ(cache->stats().rejected_insertions, 1U);
+  EXPECT_EQ(cache->stats().evictions, 0U);
+  EXPECT_EQ(cache->residents(), (std::vector<ExpertId>{id(0, 1), id(0, 2), id(1, 70)}));
 }
 
 TEST(ExpertCacheTest, EraseRemovesAndNotifies) {
@@ -118,15 +140,13 @@ TEST(ExpertCacheTest, EraseRemovesAndNotifies) {
 }
 
 TEST(ExpertCacheTest, ResidentsSortedAndComplete) {
-  auto cache = make_lru(4);
-  (void)cache->insert(id(1, 2));
-  (void)cache->insert(id(0, 3));
-  (void)cache->insert(id(1, 1));
-  const auto residents = cache->residents();
-  ASSERT_EQ(residents.size(), 3U);
-  EXPECT_EQ(residents[0], id(0, 3));
-  EXPECT_EQ(residents[1], id(1, 1));
-  EXPECT_EQ(residents[2], id(1, 2));
+  auto cache = make_lru(8);
+  // Across a layer boundary and a 64-expert bit-word boundary.
+  for (const ExpertId e : {id(1, 2), id(0, 64), id(0, 3), id(1, 0), id(0, 63), id(1, 1)})
+    (void)cache->insert(e);
+  const std::vector<ExpertId> expected{id(0, 3), id(0, 63), id(0, 64),
+                                       id(1, 0), id(1, 1),  id(1, 2)};
+  EXPECT_EQ(cache->residents(), expected);
 }
 
 TEST(ExpertCacheTest, PeekVictimMatchesPolicyWithoutEvicting) {
