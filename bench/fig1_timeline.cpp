@@ -11,7 +11,6 @@
 #include <iostream>
 
 #include "bench_common.hpp"
-#include "hw/timeline.hpp"
 #include "sched/simulator.hpp"
 
 int main() {
@@ -48,7 +47,7 @@ int main() {
     std::cout << "\n" << sc.name << " — makespan "
               << util::format_double(plan.makespan, 2) << " units (speedup vs (a): "
               << util::format_speedup(first / plan.makespan) << ")\n"
-              << hw::render_gantt(plan.to_timelines());
+              << sched::render_gantt(plan);
   }
   std::cout << "\nBalanced scheduling overlaps all three resources — the paper's\n"
                "motivating observation.\n";

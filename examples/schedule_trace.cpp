@@ -10,7 +10,6 @@
 
 #include <iostream>
 
-#include "hw/timeline.hpp"
 #include "sched/simulator.hpp"
 #include "util/table.hpp"
 
@@ -49,7 +48,7 @@ int main() {
           .add_cell(t.end, 2);
     }
     table.print(std::cout);
-    std::cout << hw::render_gantt(plan.to_timelines()) << '\n';
+    std::cout << sched::render_gantt(plan) << '\n';
   };
 
   sched::SimOptions hybrid;  // all rules active — HybriMoE

@@ -36,16 +36,20 @@ struct PrefetchDecision {
   double impact = 0.0;  ///< expected discounted makespan reduction (seconds)
 };
 
-/// Strategy interface. `budget_seconds` is the PCIe idle time available
-/// while the current layer computes; each decision consumes one expert
-/// transfer from it. `extra_resident` lists experts already uploaded outside
-/// the cache (prefill-stage transient buffers) that must not be re-fetched.
-/// Benchmark-pinned surface: bench/e2e overrides plan(), so its signature
-/// (the `unordered_set` pointer included) stays.
+/// Strategy interface. Benchmark-pinned surface: bench/e2e overrides plan(),
+/// so its signature (the `unordered_set` pointer included) stays.
 class Prefetcher {
  public:
   virtual ~Prefetcher() = default;
+  /// Registry key and display name of the strategy.
   [[nodiscard]] virtual std::string name() const = 0;
+  /// Uploads to issue while `layer` of `trace` computes, for layers after
+  /// it. `budget_seconds` is the link idle time available meanwhile; each
+  /// decision consumes one expert transfer from it. `cache` is the primary
+  /// device's cache. `extra_resident` holds the experts resident outside it
+  /// that must not be re-fetched: other devices' residents and the staged
+  /// prefill buffers, only in layers after `layer`. It is null when there
+  /// are none.
   [[nodiscard]] virtual std::vector<PrefetchDecision> plan(
       const workload::ForwardTrace& trace, std::size_t layer, sched::Stage stage,
       const cache::ExpertCache& cache, const hw::CostModel& costs,
@@ -63,15 +67,20 @@ class ImpactDrivenPrefetcher final : public Prefetcher {
     void validate() const;
   };
 
-  ImpactDrivenPrefetcher();  // default parameters, hybrid impact options
+  /// Default parameters and hybrid impact options.
+  ImpactDrivenPrefetcher();
   /// `impact_options` are the simulation options of the scheduler the
   /// prefetches will eventually benefit (usually
   /// SimScheduler::hybrid().impact_options()).
   ImpactDrivenPrefetcher(Params params, sched::SimOptions impact_options);
 
+  /// "impact-driven".
   [[nodiscard]] std::string name() const override { return "impact-driven"; }
+  /// The lookahead, decay and per-layer cap in use.
   [[nodiscard]] const Params& params() const noexcept { return params_; }
 
+  /// Greedy: each round simulates every target layer with and without each
+  /// uncached candidate resident and commits the largest discounted gain.
   [[nodiscard]] std::vector<PrefetchDecision> plan(
       const workload::ForwardTrace& trace, std::size_t layer, sched::Stage stage,
       const cache::ExpertCache& cache, const hw::CostModel& costs,
@@ -86,11 +95,15 @@ class ImpactDrivenPrefetcher final : public Prefetcher {
 /// AdapMoE-style baseline: highest predicted scores of the next layer first.
 class NextLayerTopPrefetcher final : public Prefetcher {
  public:
+  /// At most `max_per_layer` uploads per layer.
   explicit NextLayerTopPrefetcher(std::size_t max_per_layer = 8)
       : max_per_layer_(max_per_layer) {}
 
+  /// "next-layer-top".
   [[nodiscard]] std::string name() const override { return "next-layer-top"; }
 
+  /// The next layer's predicted misses, highest score first, while budget
+  /// remains.
   [[nodiscard]] std::vector<PrefetchDecision> plan(
       const workload::ForwardTrace& trace, std::size_t layer, sched::Stage stage,
       const cache::ExpertCache& cache, const hw::CostModel& costs,

@@ -1,11 +1,290 @@
 #include "runtime/engine.hpp"
 
 #include <algorithm>
-#include <unordered_map>
+#include <optional>
+#include <unordered_set>
+#include <utility>
 
 #include "util/assert.hpp"
 
 namespace hybrimoe::runtime {
+
+namespace {
+
+/// Where an expert lives during one step, by one rule: the step's staged
+/// transient buffers first, then the available device caches in topology
+/// order. Prefill stages its prefetches in transient GPU buffers until their
+/// layer reads them (cache inserts would evict seeded entries of upcoming
+/// layers for no reuse: the paper's Table III has no prefill "+Caching" row).
+/// A lost device's cache is emptied on loss, so skipping it changes nothing.
+class Residency {
+ public:
+  Residency(const std::vector<std::unique_ptr<cache::ExpertCache>>& caches,
+            const hw::CostModel& costs)
+      : caches_(caches), costs_(costs) {}
+  /// Device health (faults apply between steps): a lost accelerator holds
+  /// nothing and is never an upload target.
+  [[nodiscard]] bool available(std::size_t accel) const {
+    return costs_.accelerator_available(accel);
+  }
+
+  /// The accelerator holding `id`, if any.
+  [[nodiscard]] std::optional<std::size_t> find(moe::ExpertId id) const {
+    if (staged_.contains(id)) return staged_on_.get(id);
+    for (std::size_t a = 0; a < caches_.size(); ++a)
+      if (available(a) && caches_[a]->probe(id)) return a;
+    return std::nullopt;
+  }
+
+  /// Stages `id` in the buffer of `accel`; false when a copy is already staged.
+  bool stage(moe::ExpertId id, std::size_t accel) {
+    if (!staged_.insert(id)) return false;
+    staged_on_.at(id) = static_cast<std::uint8_t>(accel);
+    return true;
+  }
+  /// Frees the staged copy of `id` once its layer reads it; false when none.
+  bool consume(moe::ExpertId id) { return staged_.erase(id); }
+
+  /// What the prefetcher cannot see through the primary cache — staged
+  /// copies and the other devices' residents — in the layers after `layer`,
+  /// the only ones it plans for. Null when there are none.
+  const std::unordered_set<moe::ExpertId>* beyond_primary(std::size_t layer) {
+    elsewhere_.clear();
+    staged_.for_each_word([&](std::size_t l, std::size_t w, std::uint64_t bits) {
+      if (l > layer)
+        cache::ExpertBitset::for_each_bit(
+            l, w, bits, [&](moe::ExpertId id) { elsewhere_.insert(id); });
+    });
+    for (std::size_t a = 1; a < caches_.size(); ++a)
+      if (available(a))
+        for (const moe::ExpertId id : caches_[a]->residents())
+          if (id.layer > layer) elsewhere_.insert(id);
+    return elsewhere_.empty() ? nullptr : &elsewhere_;
+  }
+
+ private:
+  const std::vector<std::unique_ptr<cache::ExpertCache>>& caches_;
+  const hw::CostModel& costs_;
+  cache::ExpertBitset staged_;
+  cache::ExpertTable<std::uint8_t> staged_on_;  ///< the link that staged each copy
+  std::unordered_set<moe::ExpertId> elsewhere_;  ///< reused across layers
+};
+
+/// One forward pass, run layer by layer in named phases: resolve residency,
+/// schedule, stage uploads (prefetch), maintain the caches, execute.
+class Step {
+ public:
+  Step(EngineComponents& components, const hw::CostModel& costs, sched::Stage stage,
+       StageMetrics& metrics)
+      : c_(components), costs_(costs), stage_(stage), metrics_(metrics),
+        prefill_(stage == sched::Stage::Prefill), residency_(components.caches, costs),
+        link_carry_(components.caches.size(), 0.0), executor_(components.executor.get()),
+        threaded_(components.execution_mode != exec::ExecutionMode::Simulated) {
+    metrics.device_transfers.resize(link_carry_.size());
+    // Threaded/Performance run plans on real threads (Performance unpaced);
+    // Simulated runs the reference path so every mode yields comparable digests.
+    if (executor_ != nullptr)
+      executor_->begin_step(components.execution_mode != exec::ExecutionMode::Performance);
+  }
+  Step(const Step&) = delete;  // one owner closes the executor's step
+  /// Aborts an unfinished step: a shared executor is never left mid-step.
+  ~Step() { if (executor_ != nullptr) executor_->abort_step(); }
+
+  void layer(const workload::ForwardTrace& forward, std::size_t l) {
+    const auto layer = static_cast<std::uint16_t>(l);
+    const moe::LayerRouting& routing = forward.layers[l];
+    // Dense part (attention + shared experts): the routed phase overlaps it
+    // (Fig. 5's "Shared Expert" block), so it is the accelerators' start offset.
+    const double t_attn = costs_.attention_time(forward.tokens);
+    const double t_shared = costs_.shared_experts_time(forward.tokens);
+    const double dense = t_attn + t_shared;
+    metrics_.attention_time += t_attn;
+    metrics_.shared_time += t_shared;
+    latency_ += c_.per_layer_overhead;
+    // Score feed (Eq. 3 input): the gate runs before the cache decisions. The
+    // primary cache suffices — per-device MRS instances share the score table.
+    if (c_.update_policy_scores)
+      c_.caches[0]->update_scores(layer, routing.scores, costs_.model().top_k);
+
+    resolve(layer, routing);
+    if (demands_.empty()) {
+      latency_ += dense;
+      for (double& carry : link_carry_) carry = std::max(0.0, carry - dense);
+      if (threaded_) executor_->pace_dense(c_.per_layer_overhead + dense);
+      return;
+    }
+    const sched::LayerPlan plan = schedule(layer, dense);
+    if (c_.prefetcher != nullptr && c_.dynamic_cache_inserts) prefetch(forward, l, plan);
+    if (c_.cache_maintenance && c_.dynamic_cache_inserts && !prefill_) maintain(plan);
+    execute(plan);
+  }
+
+  /// Ends the step; returns its modeled latency. Staged hits join cache hits.
+  double finish() {
+    metrics_.cache.hits += staged_hits_;
+    if (exec::HybridExecutor* executor = std::exchange(executor_, nullptr)) {
+      const exec::StepResult step = executor->end_step();
+      metrics_.measured_latency += step.measured;
+      metrics_.exec_digest = exec::hash_u64(metrics_.exec_digest, step.digest);
+    }
+    return latency_;
+  }
+
+ private:
+  /// A hit is charged to the cache holding the expert (a staged copy is
+  /// consumed instead), a miss to the primary cache.
+  void resolve(std::uint16_t layer, const moe::LayerRouting& routing) {
+    demands_.clear();
+    activated_.clear();
+    for (std::uint32_t e = 0; e < routing.loads.size(); ++e) {
+      if (routing.loads[e] == 0) continue;
+      const moe::ExpertId id{layer, static_cast<std::uint16_t>(e)};
+      const std::optional<std::size_t> on = residency_.find(id);
+      if (!on.has_value()) {
+        c_.caches[0]->record_miss(id);
+      } else if (residency_.consume(id)) {
+        ++staged_hits_;
+      } else {
+        (void)c_.caches[*on]->lookup(id);
+      }
+      demands_.push_back({id.expert, routing.loads[e], on.has_value(),
+                          sched::accelerator_device(on.value_or(0))});
+      activated_.push_back(id);
+    }
+  }
+
+  /// On-demand transfers become residents of the pulling device
+  /// (policy-managed admission) in decode; prefill streams them.
+  sched::LayerPlan schedule(std::uint16_t layer, double dense) {
+    sched::LayerPlan plan = c_.scheduler->schedule(layer, stage_, demands_, costs_, dense,
+                                                   link_carry_[0], link_carry_);
+    latency_ += plan.makespan;  // includes the dense phase (gpu_offset)
+    metrics_.moe_time += plan.makespan - dense;
+    metrics_.cpu_busy += plan.cpu_busy;
+    metrics_.gpu_busy += plan.gpu_busy;
+    metrics_.pcie_busy += plan.pcie_busy;
+    for (const auto& t : plan.tasks) {
+      if (!t.transferred) continue;
+      ++metrics_.transfers;
+      ++metrics_.device_transfers[t.device.accel_index()];
+      if (c_.dynamic_cache_inserts && !prefill_)
+        (void)c_.caches[t.device.accel_index()]->insert(t.expert, activated_);
+    }
+    // Speculative uploads may *start* while some link is free before the
+    // layer ends; each occupies its link for one expert-transfer time, and
+    // the last ones may spill into the next layer (link_carry_).
+    HYBRIMOE_REQUIRE(plan.link_ends.size() == link_carry_.size(),
+                     "scheduler plans must carry one link window per accelerator");
+    link_cursor_ = plan.link_ends;
+    async_copies_.clear();
+    return plan;
+  }
+
+  /// Prefetching for upcoming layers. A decode upload one device rejects
+  /// falls through to the next link, so a full device never starves the
+  /// rest; a rejected staging means the expert is staged already.
+  void prefetch(const workload::ForwardTrace& forward, std::size_t l,
+                const sched::LayerPlan& plan) {
+    // Idle-window sum; a backed-up link adds zero rather than cancel another's
+    // idle time (single link: the same decisions, none for a budget <= 0).
+    double budget = 0.0;
+    for (const double cursor : link_cursor_) budget += std::max(0.0, plan.makespan - cursor);
+    const auto decisions = c_.prefetcher->plan(forward, l, stage_, *c_.caches[0], costs_,
+                                               budget, residency_.beyond_primary(l));
+    for (const auto& d : decisions)
+      for (const std::size_t a : links_by_cursor())
+        if (upload(d.expert, a, metrics_.prefetches) || prefill_) break;
+  }
+
+  /// Score-driven maintenance: retain this layer's missed high-priority
+  /// experts for the next iteration while some link is idle (decode only).
+  void maintain(const sched::LayerPlan& plan) {
+    std::vector<moe::ExpertId> missed;
+    for (std::size_t i = 0; i < demands_.size(); ++i)
+      if (!demands_[i].cached && !residency_.find(activated_[i]).has_value())
+        missed.push_back(activated_[i]);
+    const cache::CachePolicy& policy = c_.caches[0]->policy();
+    std::sort(missed.begin(), missed.end(), [&](moe::ExpertId a, moe::ExpertId b) {
+      return policy.priority(a) > policy.priority(b);
+    });
+    // A device whose victim outranks the candidate refuses it and yields to
+    // the next link. Candidates are priority-descending, so once one is
+    // refused by every idle link's device the rest would be too: stop then.
+    for (const auto& id : missed) {
+      bool placed = false;
+      for (const std::size_t a : links_by_cursor()) {
+        if (link_cursor_[a] >= plan.makespan) break;  // rest are busier still
+        cache::ExpertCache& target = *c_.caches[a];
+        if (target.full()) {
+          const auto victim = target.peek_victim();
+          if (!victim.has_value() ||
+              target.policy().priority(id) <= target.policy().priority(*victim))
+            continue;
+        }
+        placed = upload(id, a, metrics_.maintenance);
+        break;  // insert attempted on the chosen device either way
+      }
+      if (!placed) break;
+    }
+  }
+
+  /// Runs the plan on real threads (speculative copies keep draining past
+  /// the call), or computes the reference outputs only when simulated.
+  void execute(const sched::LayerPlan& plan) {
+    if (threaded_) {
+      (void)executor_->execute_layer(plan, c_.per_layer_overhead, async_copies_);
+    } else if (executor_ != nullptr) {
+      (void)executor_->execute_layer_reference(plan);
+    }
+    for (std::size_t a = 0; a < link_carry_.size(); ++a)
+      link_carry_[a] = std::max(0.0, link_cursor_[a] - plan.makespan);
+  }
+
+  /// Upload order: available links, least-loaded first, lowest index on ties.
+  [[nodiscard]] std::vector<std::size_t> links_by_cursor() const {
+    std::vector<std::size_t> order;
+    for (std::size_t a = 0; a < link_cursor_.size(); ++a)
+      if (residency_.available(a)) order.push_back(a);
+    std::stable_sort(order.begin(), order.end(), [this](auto a, auto b) {
+      return link_cursor_[a] < link_cursor_[b];
+    });
+    return order;
+  }
+
+  /// Uploads `id` over link `a` (staged in prefill, inserted in decode); a
+  /// landed one is counted in `kind`, charged to the link and queued for it.
+  bool upload(moe::ExpertId id, std::size_t a, std::size_t& kind) {
+    const bool landed = prefill_ ? residency_.stage(id, a) : c_.caches[a]->insert(id).inserted;
+    if (landed) {
+      const double xfer = costs_.transfer_time(a);
+      ++kind;
+      ++metrics_.device_transfers[a];
+      metrics_.pcie_busy += xfer;
+      link_cursor_[a] += xfer;
+      async_copies_.push_back({id, a, xfer});
+    }
+    return landed;
+  }
+
+  EngineComponents& c_;
+  const hw::CostModel& costs_;
+  const sched::Stage stage_;
+  StageMetrics& metrics_;
+  const bool prefill_;
+  Residency residency_;
+  std::vector<double> link_carry_;  ///< link work spilling into the next layer
+  exec::HybridExecutor* executor_;
+  const bool threaded_;
+  double latency_ = 0.0;
+  std::size_t staged_hits_ = 0;
+  // The current layer's state.
+  std::vector<sched::ExpertDemand> demands_;
+  std::vector<moe::ExpertId> activated_;
+  std::vector<double> link_cursor_;            ///< when each link frees up
+  std::vector<exec::AsyncCopy> async_copies_;  ///< speculative uploads, in issue order
+};
+
+}  // namespace
 
 OffloadEngine::OffloadEngine(EngineComponents components, const hw::CostModel& costs)
     : components_(std::move(components)), costs_(costs) {
@@ -58,289 +337,12 @@ void OffloadEngine::seed_cache(std::span<const moe::ExpertId> experts, bool pinn
 
 double OffloadEngine::run_step(const workload::ForwardTrace& forward,
                                sched::Stage stage, StageMetrics& metrics) {
-  const auto& model = costs_.model();
-  HYBRIMOE_REQUIRE(forward.num_layers() == model.num_layers,
+  HYBRIMOE_REQUIRE(forward.num_layers() == costs_.model().num_layers,
                    "trace layer count does not match the model");
   HYBRIMOE_REQUIRE(forward.tokens > 0, "forward pass with no tokens");
-
-  const auto& caches = components_.caches;
-  const std::size_t num_devices = caches.size();
-  std::vector<double> xfer(num_devices);
-  for (std::size_t a = 0; a < num_devices; ++a) xfer[a] = costs_.transfer_time(a);
-  if (metrics.device_transfers.size() != num_devices)
-    metrics.device_transfers.resize(num_devices, 0);
-  // Device health snapshot for this step: a lost accelerator is never probed
-  // for residency and never a transfer target (scenario device_loss).
-  std::vector<std::uint8_t> available(num_devices, 1);
-  for (std::size_t a = 0; a < num_devices; ++a)
-    available[a] = costs_.accelerator_available(a) ? 1 : 0;
-  double latency = 0.0;
-
-  // Execution backend (optional): Threaded/Performance lower every plan onto
-  // real threads (Performance with pacing dropped); Simulated-with-executor
-  // runs the single-threaded reference so all modes produce comparable
-  // output digests.
-  exec::HybridExecutor* executor = components_.executor.get();
-  const bool threaded =
-      components_.execution_mode != exec::ExecutionMode::Simulated;
-  if (executor != nullptr)
-    executor->begin_step(components_.execution_mode !=
-                         exec::ExecutionMode::Performance);
-  // Close the step on any exception below: a (possibly shared) executor
-  // left mid-step would make every later begin_step throw, masking the
-  // original error. Disarmed before the normal end_step.
-  struct StepGuard {
-    exec::HybridExecutor* executor;
-    ~StepGuard() {
-      if (executor != nullptr) executor->abort_step();
-    }
-  } step_guard{executor};
-  // Link work (prefetches) still in flight when a layer ends spills into the
-  // next layer's occupancy of that link — links are asynchronous across
-  // layers, one carry per accelerator link.
-  std::vector<double> link_carry(num_devices, 0.0);
-
-  // During prefill every layer is visited exactly once, so streamed experts
-  // go to transient GPU buffers: on-demand uploads are discarded after use
-  // and prefetched experts live only until their target layer consumes them.
-  // Inserting them into the cache would churn out seeded entries of upcoming
-  // layers for zero reuse (the reason the paper's Table III has no prefill
-  // "+Caching" row). Decode inserts into the managed caches as usual. The
-  // map value records which device's transient buffer holds the copy.
-  const bool is_prefill = stage == sched::Stage::Prefill;
-  std::unordered_map<moe::ExpertId, std::uint8_t> transient;
-  std::size_t transient_hits = 0;
-
-  for (std::size_t l = 0; l < forward.num_layers(); ++l) {
-    const auto layer = static_cast<std::uint16_t>(l);
-    const moe::LayerRouting& routing = forward.layers[l];
-
-    // Dense part: attention + shared experts, resident on the accelerators.
-    // The routed phase overlaps it — the CPU starts misses and the links
-    // start transfers while the accelerators finish the dense work (Fig. 5's
-    // "Shared Expert" block), so it enters the plan as the device start
-    // offset.
-    const double t_attn = costs_.attention_time(forward.tokens);
-    const double t_shared = costs_.shared_experts_time(forward.tokens);
-    const double dense = t_attn + t_shared;
-    metrics.attention_time += t_attn;
-    metrics.shared_time += t_shared;
-    const double overhead = components_.per_layer_overhead;
-    latency += overhead;
-
-    // Score feed (Eq. 3 input) before this layer's lookups, mirroring the
-    // real pipeline: the gate runs first, then cache decisions are made.
-    // One feed to the primary cache suffices — per-device MRS instances
-    // share the score table (MrsPolicy::share_table).
-    if (components_.update_policy_scores)
-      caches[0]->update_scores(layer, routing.scores, model.top_k);
-
-    // Cache lookups for the activated experts, then the demands. Residency
-    // is resolved across every device cache; the miss is charged to the
-    // primary cache (aggregate stats are what the metrics report).
-    std::vector<sched::ExpertDemand> demands;
-    std::vector<moe::ExpertId> activated_ids;
-    for (std::uint32_t e = 0; e < routing.loads.size(); ++e) {
-      if (routing.loads[e] == 0) continue;
-      const moe::ExpertId id{layer, static_cast<std::uint16_t>(e)};
-      bool hit = false;
-      sched::DeviceId resident_on = sched::kGpuDevice;
-      if (const auto it = transient.find(id); it != transient.end()) {
-        hit = true;  // consumed prefetch buffer
-        resident_on = sched::accelerator_device(it->second);
-        transient.erase(it);
-        ++transient_hits;
-      } else {
-        for (std::size_t a = 0; a < num_devices; ++a) {
-          if (available[a] == 0) continue;
-          if (caches[a]->probe(id)) {
-            hit = true;
-            resident_on = sched::accelerator_device(a);
-            break;
-          }
-        }
-        if (hit) {
-          (void)caches[resident_on.accel_index()]->lookup(id);
-        } else {
-          caches[0]->record_miss(id);
-        }
-      }
-      demands.push_back(
-          {static_cast<std::uint16_t>(e), routing.loads[e], hit, resident_on});
-      activated_ids.push_back(id);
-    }
-    if (demands.empty()) {
-      latency += dense;
-      for (double& carry : link_carry) carry = std::max(0.0, carry - dense);
-      if (threaded) executor->pace_dense(overhead + dense);
-      continue;
-    }
-
-    const sched::LayerPlan plan = components_.scheduler->schedule(
-        layer, stage, demands, costs_, dense, link_carry[0], link_carry);
-    latency += plan.makespan;  // includes the dense phase (gpu_offset)
-    metrics.moe_time += plan.makespan - dense;
-    metrics.cpu_busy += plan.cpu_busy;
-    metrics.gpu_busy += plan.gpu_busy;
-    metrics.pcie_busy += plan.pcie_busy;
-
-    // On-demand transfers become residents of the device that pulled them
-    // (policy-managed admission) in decode; prefill streams them through
-    // transient buffers.
-    for (const auto& t : plan.tasks) {
-      if (!t.transferred) continue;
-      ++metrics.transfers;
-      ++metrics.device_transfers[t.device.accel_index()];
-      if (components_.dynamic_cache_inserts && !is_prefill)
-        (void)caches[t.device.accel_index()]->insert(t.expert, activated_ids);
-    }
-
-    // Speculative uploads may *start* any time some link is free before the
-    // layer ends; the last ones may still be in flight when the next layer
-    // begins (link_carry). Each started transfer occupies its link for one
-    // expert-transfer time.
-    HYBRIMOE_REQUIRE(plan.link_ends.size() == num_devices,
-                     "scheduler plans must carry one link window per accelerator");
-    std::vector<double> link_cursor = plan.link_ends;
-    // Upload placement order: least-loaded link first (lowest index on
-    // ties). An upload rejected by one device's cache falls through to the
-    // next link, so a full or zero-capacity device never starves the rest.
-    const auto links_by_cursor = [&link_cursor, &available] {
-      std::vector<std::size_t> order;
-      order.reserve(link_cursor.size());
-      for (std::size_t a = 0; a < link_cursor.size(); ++a)
-        if (available[a] != 0) order.push_back(a);
-      std::stable_sort(order.begin(), order.end(), [&link_cursor](auto a, auto b) {
-        return link_cursor[a] < link_cursor[b];
-      });
-      return order;
-    };
-    // Speculative uploads committed this layer (prefetch + maintenance), in
-    // issue order with their target link — the execution backend replays
-    // them on the link's copy thread behind the plan's on-demand transfers.
-    std::vector<exec::AsyncCopy> async_copies;
-
-    // Residency the prefetcher cannot see through the primary cache:
-    // transient prefill buffers plus the extra devices' caches.
-    const auto extra_resident = [&] {
-      std::unordered_set<moe::ExpertId> extra;
-      for (const auto& [id, dev] : transient) extra.insert(id);
-      for (std::size_t a = 1; a < num_devices; ++a)
-        for (const moe::ExpertId id : caches[a]->residents()) extra.insert(id);
-      return extra;
-    };
-
-    // Impact-driven (or baseline) prefetching for upcoming layers.
-    if (components_.prefetcher != nullptr && components_.dynamic_cache_inserts) {
-      // Idle-window sum across links; a backed-up link contributes zero, it
-      // must not cancel another link's genuine idle time. (Single-link:
-      // clamping is decision-identical — the prefetcher plans nothing for
-      // any budget <= 0.)
-      double budget = 0.0;
-      for (std::size_t a = 0; a < num_devices; ++a)
-        budget += std::max(0.0, plan.makespan - link_cursor[a]);
-      const auto resident_elsewhere = extra_resident();
-      const auto decisions = components_.prefetcher->plan(
-          forward, l, stage, *caches[0], costs_, budget, &resident_elsewhere);
-      for (const auto& d : decisions) {
-        bool uploaded = false;
-        std::size_t placed_on = 0;
-        for (const std::size_t a : links_by_cursor()) {
-          uploaded = is_prefill ? transient
-                                      .emplace(d.expert,
-                                               static_cast<std::uint8_t>(a))
-                                      .second
-                                : caches[a]->insert(d.expert).inserted;
-          if (uploaded) {
-            placed_on = a;
-            break;
-          }
-          // A transient-buffer rejection means the expert is already staged
-          // — no other link would change that.
-          if (is_prefill) break;
-        }
-        if (uploaded) {
-          ++metrics.prefetches;
-          ++metrics.device_transfers[placed_on];
-          metrics.pcie_busy += xfer[placed_on];
-          link_cursor[placed_on] += xfer[placed_on];
-          async_copies.push_back({d.expert, placed_on, xfer[placed_on]});
-        }
-      }
-    }
-
-    // Score-driven maintenance: retain this layer's missed high-priority
-    // experts for the next iteration while some link is still idle. This is
-    // an inter-iteration technique — meaningless within one prefill forward.
-    if (components_.cache_maintenance && components_.dynamic_cache_inserts &&
-        !is_prefill) {
-      std::vector<moe::ExpertId> missed;
-      for (std::size_t i = 0; i < demands.size(); ++i) {
-        if (demands[i].cached) continue;
-        const auto resident = [&](const moe::ExpertId id) {
-          for (std::size_t a = 0; a < num_devices; ++a)
-            if (caches[a]->probe(id)) return true;
-          return false;
-        };
-        if (!resident(activated_ids[i])) missed.push_back(activated_ids[i]);
-      }
-      const cache::CachePolicy& policy = caches[0]->policy();
-      std::sort(missed.begin(), missed.end(), [&](moe::ExpertId a, moe::ExpertId b) {
-        return policy.priority(a) > policy.priority(b);
-      });
-      for (const auto& id : missed) {
-        // Try links least-loaded first; a device whose policy refuses the
-        // candidate (its victim outranks it) yields to the next device
-        // rather than ending maintenance for the layer. Candidates are
-        // priority-descending, so once one is refused by *every* idle
-        // link's device, the rest would be too — stop then.
-        bool placed = false;
-        for (const std::size_t a : links_by_cursor()) {
-          if (link_cursor[a] >= plan.makespan) break;  // rest are busier still
-          cache::ExpertCache& target = *caches[a];
-          if (target.full()) {
-            const auto victim = target.peek_victim();
-            if (!victim.has_value() ||
-                target.policy().priority(id) <= target.policy().priority(*victim))
-              continue;  // this device refuses; try the next link
-          }
-          if (target.insert(id).inserted) {
-            ++metrics.maintenance;
-            ++metrics.device_transfers[a];
-            metrics.pcie_busy += xfer[a];
-            link_cursor[a] += xfer[a];
-            async_copies.push_back({id, a, xfer[a]});
-            placed = true;
-          }
-          break;  // insert attempted on the chosen device either way
-        }
-        if (!placed) break;  // all links busy, or no device admits this one
-      }
-    }
-
-    // All cache bookkeeping for the layer is done — now execute the plan.
-    // Threaded mode runs it for real (the call returns when every compute
-    // task finished; speculative copies keep draining asynchronously);
-    // simulated-with-executor computes the reference outputs only.
-    if (executor != nullptr) {
-      if (threaded) {
-        (void)executor->execute_layer(plan, overhead, async_copies);
-      } else {
-        (void)executor->execute_layer_reference(plan);
-      }
-    }
-
-    for (std::size_t a = 0; a < num_devices; ++a)
-      link_carry[a] = std::max(0.0, link_cursor[a] - plan.makespan);
-  }
-  metrics.cache.hits += transient_hits;  // prefetch-buffer hits count as hits
-  if (executor != nullptr) {
-    step_guard.executor = nullptr;
-    const exec::StepResult step = executor->end_step();
-    metrics.measured_latency += step.measured;
-    metrics.exec_digest = exec::hash_u64(metrics.exec_digest, step.digest);
-  }
-  return latency;
+  Step step(components_, costs_, stage, metrics);
+  for (std::size_t l = 0; l < forward.num_layers(); ++l) step.layer(forward, l);
+  return step.finish();
 }
 
 StageMetrics OffloadEngine::run_prefill(const workload::PrefillTrace& trace) {

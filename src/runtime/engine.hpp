@@ -4,12 +4,10 @@
 /// The offloading inference engine: walks a routing trace layer by layer,
 /// charges dense work (attention, shared experts) to the accelerators, asks
 /// its scheduler for a routed-expert plan over the cost model's device
-/// topology, applies cache effects (on-demand inserts into the pulling
-/// device's cache, score-driven maintenance) and spends idle link time on
-/// prefetching (each upload routed to the least-busy link). Every framework
-/// in the evaluation is an OffloadEngine with different components — so
-/// end-to-end comparisons isolate policy choices. A single-accelerator
-/// topology reproduces the historical CPU+GPU pair bit for bit.
+/// topology, and spends idle link time on prefetching and score-driven cache
+/// maintenance (each upload routed to the least-busy link). Every framework
+/// in the evaluation is an OffloadEngine with different components, so
+/// end-to-end comparisons isolate policy choices.
 
 #include <memory>
 #include <string>
@@ -123,14 +121,14 @@ class OffloadEngine {
   /// chunk, a decode step, or a continuous-batching composition of several
   /// requests (workload::merge_forward_traces) — under the given stage's
   /// scheduling semantics, accumulating engine counters into `metrics` (the
-  /// caller owns per_forward/total_latency/cache bookkeeping). Returns the
-  /// *modeled* pass latency in every mode; in Threaded mode the wall-clock
-  /// measurement additionally lands in metrics.measured_latency and the
-  /// layer-output digest in metrics.exec_digest.
-  /// run_prefill/run_decode and the serving core are thin loops over this.
-  /// Engine-thread only: in Threaded mode the calling thread runs the GPU
-  /// lane (dense phase + routed GPU experts) while the backend's worker
-  /// pool and copy thread run the CPU and PCIe lanes.
+  /// caller owns per_forward/total_latency/cache bookkeeping). Each layer
+  /// runs five phases: resolve residency, schedule, stage uploads
+  /// (prefetch), maintain the caches, execute. Returns the *modeled* pass
+  /// latency in every mode; in Threaded mode the wall-clock measurement
+  /// lands in metrics.measured_latency and the layer-output digest in
+  /// metrics.exec_digest. Engine-thread only: in Threaded mode the calling
+  /// thread runs the GPU lane while the backend's FIFO lanes (one CopyEngine
+  /// for the CPU experts, one per link) run the rest.
   double run_step(const workload::ForwardTrace& forward, sched::Stage stage,
                   StageMetrics& metrics);
 

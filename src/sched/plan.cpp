@@ -51,31 +51,45 @@ std::vector<std::size_t> LayerPlan::transfer_order(DeviceId device) const {
   return order;
 }
 
-hw::TimelineSet LayerPlan::to_timelines() const {
-  hw::TimelineSet set;
-  // Collect intervals per resource in start order, then replay.
-  struct Item {
+std::string render_gantt(const LayerPlan& plan, std::size_t width) {
+  struct Box {
     double start, end;
-    hw::OpKind kind;
     moe::ExpertId expert;
-    std::uint32_t load;
-    hw::Resource resource;
   };
-  std::vector<Item> items;
-  for (const auto& t : tasks) {
-    if (t.transferred)
-      items.push_back({t.transfer_start, t.transfer_end, hw::OpKind::Transfer, t.expert,
-                       t.load, hw::Resource::Pcie});
-    items.push_back({t.start, t.end,
-                     t.device.is_cpu() ? hw::OpKind::CpuCompute : hw::OpKind::GpuCompute,
-                     t.expert, t.load,
-                     t.device.is_cpu() ? hw::Resource::Cpu : hw::Resource::Gpu});
+  std::vector<Box> lanes[3];  // GPU, PCIe, CPU
+  double horizon = 0.0;
+  for (const auto& t : plan.tasks) {
+    if (t.transferred) lanes[1].push_back({t.transfer_start, t.transfer_end, t.expert});
+    lanes[t.device.is_cpu() ? 2 : 0].push_back({t.start, t.end, t.expert});
+    horizon = std::max({horizon, t.end, t.transferred ? t.transfer_end : 0.0});
   }
-  std::sort(items.begin(), items.end(),
-            [](const Item& a, const Item& b) { return a.start < b.start; });
-  for (const auto& it : items)
-    set.of(it.resource).schedule(it.start, it.end - it.start, it.kind, it.expert, it.load);
-  return set;
+  std::ostringstream os;
+  if (horizon <= 0.0) {
+    os << "(empty schedule)\n";
+    return os.str();
+  }
+  const double scale = static_cast<double>(width) / horizon;
+  const char* names[] = {"GPU  ", "PCIe  ", "CPU  "};  // PCIe sits one column right
+  for (std::size_t r = 0; r < 3; ++r) {
+    std::stable_sort(lanes[r].begin(), lanes[r].end(),
+                     [](const Box& a, const Box& b) { return a.start < b.start; });
+    std::string lane(width, '.');
+    for (const Box& box : lanes[r]) {
+      auto begin = static_cast<std::size_t>(std::floor(box.start * scale));
+      auto end = static_cast<std::size_t>(std::ceil(box.end * scale));
+      begin = std::min(begin, width - 1);
+      end = std::clamp(end, begin + 1, width);
+      // The expert's name, then '=' fill, closed by '|'.
+      const std::string label = box.expert.to_string();
+      for (std::size_t i = begin; i < end; ++i)
+        lane[i] = i - begin < label.size() ? label[i - begin] : '=';
+      lane[end - 1] = '|';
+    }
+    os << names[r] << lane << '\n';
+  }
+  os << "      0" << std::string(width > 14 ? width - 14 : 0, ' ') << "t=" << horizon
+     << "s\n";
+  return os.str();
 }
 
 std::vector<std::string> validate_plan(const LayerPlan& plan,

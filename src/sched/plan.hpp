@@ -12,7 +12,6 @@
 #include <string>
 #include <vector>
 
-#include "hw/timeline.hpp"
 #include "moe/expert_id.hpp"
 #include "sched/device.hpp"
 
@@ -99,13 +98,14 @@ struct LayerPlan {
   /// Indices of the tasks transferred over `device`'s link in transfer-start
   /// order — the FIFO submission order of that link's copy engine.
   [[nodiscard]] std::vector<std::size_t> transfer_order(DeviceId device) const;
-
-  /// Rebuild the three-lane resource timelines (for Gantt rendering and
-  /// validation). Accelerator tasks of every device share the GPU lane and
-  /// transfers of every link share the PCIe lane, so the chart is only
-  /// non-overlapping for single-accelerator plans.
-  [[nodiscard]] hw::TimelineSet to_timelines() const;
 };
+
+/// Fixed-width ASCII Gantt chart of a plan's GPU, PCIe and CPU lanes, each
+/// box labelled with its expert, over [0, latest interval end] (the paper's
+/// Fig. 1 and Fig. 5 charts). Accelerator tasks of every device share the
+/// GPU lane and transfers of every link share the PCIe lane, so the chart
+/// is only non-overlapping for single-accelerator plans.
+[[nodiscard]] std::string render_gantt(const LayerPlan& plan, std::size_t width = 72);
 
 /// Structural validation; returns human-readable violations (empty == valid):
 ///  * link_offsets and link_ends have one entry per link, covering every

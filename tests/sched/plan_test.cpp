@@ -165,13 +165,28 @@ TEST(LayerPlanTest, TransferredExpertsListed) {
   EXPECT_EQ(transfers[0], (moe::ExpertId{2, 1}));
 }
 
-TEST(LayerPlanTest, ToTimelinesRoundTrip) {
-  const auto plan = valid_plan();
-  const auto timelines = plan.to_timelines();
-  EXPECT_DOUBLE_EQ(timelines.makespan(), plan.makespan);
-  EXPECT_DOUBLE_EQ(timelines.cpu.busy_time(), plan.cpu_busy);
-  EXPECT_DOUBLE_EQ(timelines.gpu.busy_time(), plan.gpu_busy);
-  EXPECT_DOUBLE_EQ(timelines.pcie.busy_time(), plan.pcie_busy);
+TEST(LayerPlanTest, RenderGanttDrawsEveryInterval) {
+  // 16 columns over [0, 4): each box starts with its expert's name, is filled
+  // with '=' and closed by '|'; a name longer than its box is cut.
+  EXPECT_EQ(render_gantt(valid_plan(), 16),
+            "GPU  ............L2/|\n"
+            "PCIe  L2/E1======|....\n"
+            "CPU  L2/E0==|........\n"
+            "      0  t=4s\n");
+}
+
+TEST(GanttTest, RendersAllLanes) {
+  // No transfer: the PCIe lane is still drawn, empty.
+  LayerPlan plan = valid_plan();
+  plan.tasks[1].transferred = false;
+  const std::string gantt = render_gantt(plan, 40);
+  EXPECT_NE(gantt.find("CPU  L2/E0"), std::string::npos);
+  EXPECT_NE(gantt.find("GPU  "), std::string::npos);
+  EXPECT_NE(gantt.find("PCIe  " + std::string(40, '.')), std::string::npos);
+}
+
+TEST(GanttTest, EmptyScheduleHandled) {
+  EXPECT_EQ(render_gantt(LayerPlan{}), "(empty schedule)\n");
 }
 
 TEST(StageTest, Names) {
