@@ -10,7 +10,10 @@
 ///  * eight serving streams through ExperimentHarness::serve_stream: FIFO,
 ///    chunked under a tight batch cap, burst, diurnal, priority tiers with
 ///    an SLO, admission-control rejection, spaced tiers that trigger
-///    preemption, and tier-queue overflow.
+///    preemption, and tier-queue overflow;
+///  * every topology preset, three accelerator-count overrides and one
+///    warmup calibration fit: the full hardware description, so a preset
+///    or the fitting arithmetic cannot drift.
 ///
 /// Usage: pinned_metrics > out.jsonl  (no arguments).
 
@@ -19,7 +22,9 @@
 #include <string>
 #include <vector>
 
+#include "hw/calibration.hpp"
 #include "runtime/frameworks.hpp"
+#include "runtime/stack_registry.hpp"
 #include "runtime/session.hpp"
 #include "util/json_writer.hpp"
 #include "workload/generator.hpp"
@@ -236,10 +241,63 @@ void print_serve_cases() {
   print_serve("queue_overflow", crowded, capped);
 }
 
+void write_device(JsonWriter::Inline& line, const hw::ComputeDeviceParams& d) {
+  line.field("flops").exact(d.flops);
+  line.field("mem_bandwidth").exact(d.mem_bandwidth);
+  line.field("launch_overhead").exact(d.launch_overhead);
+  line.field("warmup_penalty").exact(d.warmup_penalty);
+  line.field("flops_peak").exact(d.flops_peak);
+  line.field("flops_ramp_half").exact(d.flops_ramp_half);
+}
+
+void print_topology(const std::string& label, const hw::Topology& topology) {
+  JsonWriter::Inline line(std::cout);
+  line.field("case").string("topology " + label);
+  line.field("name").string(topology.name);
+  line.field("cpu");
+  JsonWriter::Inline cpu(std::cout);
+  write_device(cpu, topology.cpu);
+  cpu.close();
+  line.field("accelerators").raw("[");
+  for (std::size_t i = 0; i < topology.accelerators.size(); ++i) {
+    const hw::AcceleratorProfile& accel = topology.accelerators[i];
+    if (i > 0) std::cout << ", ";
+    JsonWriter::Inline item(std::cout);
+    item.field("name").string(accel.name);
+    write_device(item, accel.compute);
+    item.field("link_bandwidth").exact(accel.link.bandwidth);
+    item.field("link_latency").exact(accel.link.latency);
+    item.field("cache_share").exact(accel.cache_share);
+    item.close();
+  }
+  line.raw("]");
+  line.close();
+  std::cout << '\n';
+}
+
+void print_topology_cases() {
+  for (const std::string& name : runtime::topology_registry().names())
+    print_topology("preset " + name, runtime::topology_registry().get(name)());
+
+  const std::vector<std::pair<std::string, std::size_t>> overrides{
+      {"a6000_xeon10", 3}, {"quad_sim", 2}, {"dual_a6000", 3}};
+  for (const auto& [preset, devices] : overrides)
+    print_topology("resolve " + preset + " devices=" + std::to_string(devices),
+                   runtime::resolve_topology({.preset = preset, .devices = devices}));
+
+  const moe::ModelConfig deepseek = moe::ModelConfig::deepseek();
+  const hw::CostModel truth(hw::Topology::a6000_xeon10(), deepseek);
+  util::Rng rng(101);
+  const auto samples = hw::simulate_measurements(truth, rng, 8, 0.05);
+  print_topology("fit a6000_xeon10 deepseek",
+                 hw::Topology::from_machine(hw::fit_machine_profile(samples, deepseek)));
+}
+
 }  // namespace
 
 int main() {
   print_engine_cases();
   print_serve_cases();
+  print_topology_cases();
   return 0;
 }
