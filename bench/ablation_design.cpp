@@ -197,7 +197,7 @@ int main() {
     for (const auto& m : moe::paper_models()) {
       // Mixtral activates <= 8+ experts per decode layer; the 64-expert
       // models activate ~top_k (6-8): all within exhaustive reach.
-      const hw::CostModel costs(hw::MachineProfile::a6000_xeon10(), m);
+      const hw::CostModel costs(hw::Topology::a6000_xeon10(), m);
       workload::TraceGenParams params;
       params.seed = kBenchSeed ^ 0x0991;
       workload::TraceGenerator gen(m, params);

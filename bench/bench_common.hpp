@@ -40,7 +40,7 @@ inline runtime::ExperimentSpec make_spec(const moe::ModelConfig& model,
                                          std::uint64_t seed = kBenchSeed) {
   runtime::ExperimentSpec spec;
   spec.model = model;
-  spec.machine = hw::MachineProfile::a6000_xeon10();
+  spec.machine = hw::Topology::a6000_xeon10();
   spec.cache_ratio = cache_ratio;
   spec.trace.seed = seed;
   return spec;

@@ -22,7 +22,7 @@ int main() {
   // Six experts, two cached — a decode-ish layer on the unit-cost machine
   // (cpu = load, gpu = 1, transfer = 3) with mixed loads.
   const moe::ModelConfig model = moe::ModelConfig::tiny();
-  const hw::CostModel costs(hw::MachineProfile::unit_test_machine(), model);
+  const hw::CostModel costs(hw::Topology::unit_test(), model);
   const std::vector<sched::ExpertDemand> demands = {
       {1, 2, true},  {2, 2, true},  {3, 1, false},
       {4, 2, false}, {5, 3, false}, {6, 5, false}};

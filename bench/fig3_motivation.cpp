@@ -170,7 +170,7 @@ int main() {
   print_header("(e) CPU vs GPU time for varying numbers of experts", "Fig. 3e");
   {
     const auto model = moe::ModelConfig::deepseek();
-    const hw::CostModel costs(hw::MachineProfile::a6000_xeon10(), model);
+    const hw::CostModel costs(hw::Topology::a6000_xeon10(), model);
     util::TextTable table("time to compute N experts at fixed load (decode, 1 token)");
     table.set_headers({"experts", "CPU (first cold)", "GPU"});
     for (std::size_t n = 1; n <= 7; ++n) {
@@ -191,7 +191,7 @@ int main() {
   print_header("(f) CPU vs GPU time across workload sizes", "Fig. 3f");
   {
     const auto model = moe::ModelConfig::deepseek();
-    const hw::CostModel costs(hw::MachineProfile::a6000_xeon10(), model);
+    const hw::CostModel costs(hw::Topology::a6000_xeon10(), model);
     util::TextTable table("single-expert time vs token load");
     table.set_headers({"tokens", "CPU", "GPU", "CPU/GPU"});
     for (const std::size_t tokens : {1UL, 8UL, 32UL, 128UL, 256UL, 512UL, 1024UL}) {

@@ -62,7 +62,7 @@ int main(int argc, char** argv) {
 
     runtime::ExperimentSpec spec =
         make_spec(model, std::min(0.25 * static_cast<double>(n), 0.75));
-    spec.topology = runtime::resolve_topology(topo_spec);
+    spec.machine = runtime::resolve_topology(topo_spec);
     runtime::ExperimentHarness harness(spec);
 
     double first_tbt = 0.0;

@@ -16,8 +16,8 @@ int main() {
 
   print_header("Platform scaling: decode TBT across machines", "§VI-A.1 platforms");
 
-  const hw::MachineProfile machines[] = {hw::MachineProfile::a6000_xeon10(),
-                                         hw::MachineProfile::laptop_edge()};
+  const hw::Topology machines[] = {hw::Topology::a6000_xeon10(),
+                                   hw::Topology::laptop_edge()};
 
   for (const auto& machine : machines) {
     util::TextTable table(machine.name + " — decode @ 25% cache");

@@ -16,7 +16,7 @@ int main() {
 
   runtime::ExperimentSpec spec;
   spec.model = moe::ModelConfig::qwen2();
-  spec.machine = hw::MachineProfile::a6000_xeon10();
+  spec.machine = hw::Topology::a6000_xeon10();
   spec.cache_ratio = 0.50;
   spec.trace.seed = 7;
 

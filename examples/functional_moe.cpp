@@ -42,7 +42,7 @@ int main() {
 
   // Schedule those experts with the hybrid scheduler (expert 0..3 "cached").
   const moe::ModelConfig model = moe::ModelConfig::tiny(1, kExperts, kTopK);
-  const hw::CostModel costs(hw::MachineProfile::unit_test_machine(), model);
+  const hw::CostModel costs(hw::Topology::unit_test(), model);
   std::vector<sched::ExpertDemand> demands;
   for (const auto e : routing.experts)
     demands.push_back({static_cast<std::uint16_t>(e), 1, e < kExperts / 2});

@@ -26,7 +26,7 @@ int main(int argc, char** argv) {
 
   runtime::ExperimentSpec spec;
   spec.model = moe::ModelConfig::deepseek();
-  spec.machine = hw::MachineProfile::a6000_xeon10();
+  spec.machine = hw::Topology::a6000_xeon10();
   spec.cache_ratio = 0.25;  // 25% of routed experts fit on the GPU
   spec.trace.seed = 2025;
 

@@ -17,7 +17,7 @@ int main() {
   using namespace hybrimoe;
 
   const moe::ModelConfig model = moe::ModelConfig::tiny();
-  const hw::CostModel costs(hw::MachineProfile::unit_test_machine(), model);
+  const hw::CostModel costs(hw::Topology::unit_test(), model);
 
   // The figure's expert set: A:1 B:1 C:3 uncached, D:4 E:1 cached.
   const std::vector<sched::ExpertDemand> demands = {

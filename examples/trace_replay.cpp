@@ -33,7 +33,7 @@ int main(int argc, char** argv) {
   const auto replayed = workload::load_decode_trace(path);
   std::cout << "reloaded " << replayed.num_steps() << " steps; replaying...\n\n";
 
-  const hw::CostModel costs(hw::MachineProfile::a6000_xeon10(), model);
+  const hw::CostModel costs(hw::Topology::a6000_xeon10(), model);
   workload::TraceGenParams wparams = params;
   wparams.gate_seed = params.effective_gate_seed();
   wparams.seed = params.seed ^ 0x5151;

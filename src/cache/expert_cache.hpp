@@ -110,6 +110,8 @@ class ExpertCache {
   /// Snapshot of resident ids in ascending ExpertId order (layer, then
   /// expert).
   [[nodiscard]] std::vector<moe::ExpertId> residents() const;
+  /// The resident set itself, for walks that need no copy.
+  [[nodiscard]] const ExpertBitset& resident_set() const noexcept { return resident_; }
 
   /// The entry the policy would evict next (nullopt when nothing evictable):
   /// the victim of the next insert into a full cache with nothing protected.

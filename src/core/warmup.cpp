@@ -1,24 +1,9 @@
 #include "core/warmup.hpp"
 
 #include <algorithm>
-
-#include "util/assert.hpp"
+#include <utility>
 
 namespace hybrimoe::core {
-
-WarmupResult run_warmup(const hw::CostModel& ground_truth,
-                        workload::TraceGenerator& generator, std::size_t warmup_steps,
-                        util::Rng& rng, double measurement_noise) {
-  HYBRIMOE_REQUIRE(warmup_steps > 0, "warmup needs at least one step");
-  WarmupResult result;
-  const auto samples =
-      hw::simulate_measurements(ground_truth, rng, /*repetitions=*/8, measurement_noise);
-  result.fitted_machine =
-      hw::fit_machine_profile(samples, ground_truth.model(), "warmup-fit");
-  const auto trace = generator.generate_decode(warmup_steps);
-  result.expert_frequencies = workload::activation_frequencies(trace, ground_truth.model());
-  return result;
-}
 
 std::vector<moe::ExpertId> hottest_experts(
     const std::vector<std::vector<double>>& frequencies, std::size_t count) {

@@ -2,31 +2,17 @@
 
 /// \file warmup.hpp
 /// The warmup phase of §IV-A: before serving, HybriMoE (i) measures the
-/// machine — CPU/GPU speeds, transfer latency — and (ii) observes expert
-/// activation statistics. The fitted profile feeds every scheduling decision;
-/// the frequencies seed the cache (and, for the kTransformers baseline, the
-/// static pinning).
+/// machine — CPU/GPU speeds, transfer latency (hw/calibration.hpp) — and
+/// (ii) observes expert activation statistics (the experiment harness counts
+/// them over an independent warmup trace). The frequencies seed the cache
+/// and, for the kTransformers baseline, the static pinning chosen here.
 
+#include <cstddef>
 #include <vector>
 
-#include "hw/calibration.hpp"
 #include "moe/expert_id.hpp"
-#include "workload/generator.hpp"
 
 namespace hybrimoe::core {
-
-struct WarmupResult {
-  hw::MachineProfile fitted_machine;
-  /// frequencies[layer][expert] = activation count over the warmup run.
-  std::vector<std::vector<double>> expert_frequencies;
-};
-
-/// Run the warmup: calibrate against `ground_truth` (noisy measurements) and
-/// collect activation statistics from `warmup_steps` decode steps.
-[[nodiscard]] WarmupResult run_warmup(const hw::CostModel& ground_truth,
-                                      workload::TraceGenerator& generator,
-                                      std::size_t warmup_steps, util::Rng& rng,
-                                      double measurement_noise = 0.03);
 
 /// The `count` (layer, expert) pairs with the highest warmup frequency —
 /// the kTransformers static placement, with shared experts handled

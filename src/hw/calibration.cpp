@@ -46,14 +46,16 @@ LinearFit fit_linear(std::span<const double> xs, std::span<const double> ys) {
   return fit;
 }
 
-MachineProfile fit_machine_profile(const WarmupMeasurements& samples,
-                                   const moe::ModelConfig& model, std::string name) {
+Topology fit_topology(const WarmupMeasurements& samples, const moe::ModelConfig& model,
+                      std::string name) {
   HYBRIMOE_REQUIRE(samples.cpu_warm.size() >= 2, "need >=2 warm CPU samples");
   HYBRIMOE_REQUIRE(!samples.gpu_times.empty(), "need GPU samples");
   HYBRIMOE_REQUIRE(samples.transfers.size() >= 2, "need >=2 transfer samples");
 
-  MachineProfile fit;
+  Topology fit;
   fit.name = std::move(name);
+  AcceleratorProfile& gpu = fit.accelerators.emplace_back();
+  gpu.name = "gpu0";
   const double flops_per_token = model.routed.flops(1);
   const auto expert_bytes = static_cast<double>(model.routed_expert_bytes());
 
@@ -99,7 +101,7 @@ MachineProfile fit_machine_profile(const WarmupMeasurements& samples,
     const double launch = samples.gpu_empty_task.empty()
                               ? 0.0
                               : median_of(samples.gpu_empty_task);
-    fit.gpu.launch_overhead = launch;
+    gpu.compute.launch_overhead = launch;
 
     std::vector<double> small_loads;
     std::vector<double> xs;
@@ -112,22 +114,23 @@ MachineProfile fit_machine_profile(const WarmupMeasurements& samples,
     HYBRIMOE_REQUIRE(!small_loads.empty(), "need small-load GPU samples");
     const double flat = median_of(small_loads) - launch;
     HYBRIMOE_REQUIRE(flat > 0.0, "GPU flat time must be positive");
-    fit.gpu.mem_bandwidth = expert_bytes / flat;
+    gpu.compute.mem_bandwidth = expert_bytes / flat;
 
     // FLOP throughput from the largest-load sample once it exceeds the flat
     // region; fall back to a huge value when the sweep never leaves it.
-    fit.gpu.flops = 1e18;
+    gpu.compute.flops = 1e18;
     const auto biggest = std::max_element(
         samples.gpu_times.begin(), samples.gpu_times.end(),
         [](const ComputeSample& a, const ComputeSample& b) { return a.tokens < b.tokens; });
     const double big_time = biggest->seconds - launch;
     if (big_time > flat * 1.05) {
-      fit.gpu.flops = flops_per_token * static_cast<double>(biggest->tokens) / big_time;
+      gpu.compute.flops =
+          flops_per_token * static_cast<double>(biggest->tokens) / big_time;
     }
-    fit.gpu.warmup_penalty = 0.0;
+    gpu.compute.warmup_penalty = 0.0;
   }
 
-  // --- PCIe: straight line over bytes.
+  // --- Host link: straight line over bytes.
   {
     std::vector<double> xs;
     std::vector<double> ys;
@@ -137,8 +140,8 @@ MachineProfile fit_machine_profile(const WarmupMeasurements& samples,
     }
     const LinearFit line = fit_linear(xs, ys);
     HYBRIMOE_REQUIRE(line.slope > 0.0, "transfer timing must grow with bytes");
-    fit.pcie.bandwidth = 1.0 / line.slope;
-    fit.pcie.latency = std::max(0.0, line.intercept);
+    gpu.link.bandwidth = 1.0 / line.slope;
+    gpu.link.latency = std::max(0.0, line.intercept);
   }
 
   fit.validate();

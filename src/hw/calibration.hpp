@@ -5,8 +5,9 @@
 /// and GPU processing speeds and transfer latency, then schedules against the
 /// fitted model. Here the "measurements" come from a ground-truth CostModel
 /// perturbed with multiplicative noise (tests/examples wire that up), and the
-/// fitting code reconstructs a MachineProfile from raw samples exactly as the
-/// real system would from wall-clock timings.
+/// fitting code reconstructs a one-accelerator Topology (the CPU, the primary
+/// accelerator and its host link) from raw samples exactly as the real system
+/// would from wall-clock timings.
 
 #include <functional>
 #include <span>
@@ -24,6 +25,8 @@ struct LinearFit {
   double r_squared = 0.0;
 };
 
+/// Least-squares line through (xs[i], ys[i]); needs two or more samples of
+/// equal count and varying x.
 [[nodiscard]] LinearFit fit_linear(std::span<const double> xs, std::span<const double> ys);
 
 /// One timed expert execution at a given token load.
@@ -45,14 +48,15 @@ struct WarmupMeasurements {
   std::vector<double> cpu_empty_task;       ///< empty-dispatch timings (launch cost)
   std::vector<ComputeSample> gpu_times;     ///< GPU expert timings across loads
   std::vector<double> gpu_empty_task;       ///< GPU launch cost samples
-  std::vector<TransferSample> transfers;    ///< PCIe timings across sizes
+  std::vector<TransferSample> transfers;    ///< host-link timings across sizes
 };
 
-/// Fits a MachineProfile from raw samples for a given model geometry
-/// (the geometry converts token counts into FLOPs/bytes).
-[[nodiscard]] MachineProfile fit_machine_profile(const WarmupMeasurements& samples,
-                                                 const moe::ModelConfig& model,
-                                                 std::string name = "calibrated");
+/// Fits a one-accelerator Topology (accelerator "gpu0", cache_share 1) from
+/// raw samples for a given model geometry (the geometry converts token
+/// counts into FLOPs/bytes).
+[[nodiscard]] Topology fit_topology(const WarmupMeasurements& samples,
+                                    const moe::ModelConfig& model,
+                                    std::string name = "calibrated");
 
 /// Produces measurements by sampling a ground-truth cost model with
 /// log-normal-ish multiplicative noise of the given relative sigma —
@@ -77,7 +81,7 @@ struct WarmupMeasurements {
 
 /// Time `kernel(tokens)` across `token_loads`, producing samples that plug
 /// straight into WarmupMeasurements::cpu_warm / gpu_times and thus into
-/// fit_machine_profile — a real-measurement replacement for
+/// fit_topology — a real-measurement replacement for
 /// simulate_measurements on hosts where the kernels actually run.
 [[nodiscard]] std::vector<ComputeSample> measure_compute_samples(
     const std::function<void(std::size_t)>& kernel,

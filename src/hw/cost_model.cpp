@@ -6,9 +6,6 @@
 
 namespace hybrimoe::hw {
 
-CostModel::CostModel(MachineProfile machine, moe::ModelConfig model)
-    : CostModel(Topology::from_machine(machine), std::move(model)) {}
-
 CostModel::CostModel(Topology topology, moe::ModelConfig model)
     : topology_(std::move(topology)), model_(std::move(model)) {
   topology_.validate();

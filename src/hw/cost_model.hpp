@@ -21,7 +21,8 @@
 ///
 /// Accelerator queries (`gpu_expert_time(tokens, accel)`,
 /// `transfer_time(accel)`) address devices by topology index; accelerator 0
-/// is the primary device, the GPU of the historical CPU+GPU pair.
+/// is the primary device. The topology is the only hardware input: a
+/// CPU+GPU machine is a one-accelerator Topology.
 
 #include <cstddef>
 #include <cstdint>
@@ -36,10 +37,7 @@ namespace hybrimoe::hw {
 /// Time queries for one (topology, model) pair.
 class CostModel {
  public:
-  /// Single-accelerator convenience: the historical CPU+GPU pair
-  /// (equivalent to CostModel(Topology::from_machine(machine), model)).
-  CostModel(MachineProfile machine, moe::ModelConfig model);
-  /// Full N-accelerator model; `topology` must validate.
+  /// `topology` must validate (one or more accelerators).
   CostModel(Topology topology, moe::ModelConfig model);
 
   /// The full device/link complement this model answers queries for.

@@ -1,16 +1,13 @@
 #pragma once
 
 /// \file topology.hpp
-/// Hardware description types: per-device compute parameters, host-device
+/// The one hardware description: per-device compute parameters, host-device
 /// links, and Topology — one host CPU plus N accelerator devices, each with
 /// its own compute parameters, host link and share of the expert-cache
-/// budget. Topology is the one hardware description the cost model, the
-/// schedulers and the engine consume. MachineProfile (one CPU + one GPU +
-/// PCIe link) remains as a compact way to write down and calibrate a
-/// one-accelerator machine; Topology::from_machine upgrades it losslessly:
-/// CostModel(MachineProfile, ...) is CostModel(Topology::from_machine(...),
-/// ...), so every scheduler metric is the same for both. Time queries over
-/// a (topology, model) pair live in cost_model.hpp.
+/// budget. The cost model, the schedulers, the engine, the experiment
+/// harness and warmup calibration all take a Topology; a one-accelerator
+/// machine is a Topology with one entry. Time queries over a (topology,
+/// model) pair live in cost_model.hpp.
 
 #include <cstddef>
 #include <string>
@@ -55,30 +52,6 @@ struct TransferLinkParams {
   }
 };
 
-/// One machine = CPU + GPU + PCIe link: the single-pair view. Retained as
-/// the convenient way to describe (and calibrate against) one-accelerator
-/// systems; Topology::from_machine upgrades it losslessly.
-struct MachineProfile {
-  std::string name;
-  ComputeDeviceParams cpu;
-  ComputeDeviceParams gpu;
-  TransferLinkParams pcie;
-
-  /// Throws std::invalid_argument on invalid device/link parameters.
-  void validate() const;
-
-  /// The paper's testbed: RTX A6000 (PCIe 4.0 x16) + Xeon Gold 5220R capped
-  /// at 10 cores. Throughputs are sustained figures for 4-bit kernels, not
-  /// peak datasheet numbers.
-  /// Benchmark-pinned surface: bench/e2e calls it, so its signature stays.
-  [[nodiscard]] static MachineProfile a6000_xeon10();
-  /// A smaller edge box (laptop dGPU + 8-core mobile CPU) for scaling studies.
-  [[nodiscard]] static MachineProfile laptop_edge();
-  /// Unit-cost machine used by scheduler unit tests: CPU time == load units,
-  /// GPU time == 1 per expert, transfer == 3 (the Fig. 5 worked example).
-  [[nodiscard]] static MachineProfile unit_test_machine();
-};
-
 /// One accelerator of a Topology: its compute throughput, the host link that
 /// feeds it, and its relative share of the expert-cache capacity budget.
 struct AcceleratorProfile {
@@ -94,8 +67,8 @@ struct AcceleratorProfile {
 };
 
 /// One machine = host CPU + N accelerators (N >= 1), each with a dedicated
-/// host link. Accelerator 0 is the *primary* device — the "GPU" of the
-/// historical CPU+GPU pair; sched::DeviceId{1} addresses it.
+/// host link. Accelerator 0 is the *primary* device, which hosts the dense
+/// pipeline; sched::DeviceId{1} addresses it.
 struct Topology {
   std::string name;
   ComputeDeviceParams cpu;
@@ -110,29 +83,38 @@ struct Topology {
     return accelerators.size();
   }
 
-  /// Lossless upgrade of a CPU+GPU pair: one accelerator named "gpu0" with
-  /// the machine's GPU params and PCIe link, cache_share 1.
-  [[nodiscard]] static Topology from_machine(const MachineProfile& machine);
-
-  /// `n` identical copies of the machine's accelerator, each with its own
-  /// dedicated link (the multi-GPU simulation testbed). `n` must be in
-  /// [1, 254] (DeviceId is one byte; 0 is the CPU).
-  [[nodiscard]] static Topology replicated(const MachineProfile& machine, std::size_t n,
+  /// `base` with its accelerator list resized to `n`: new entries copy
+  /// accelerator 0, every entry keeps its own dedicated link, and the
+  /// accelerators are renamed gpu0..gpu{n-1}. `n` must be in [1, 254]
+  /// (DeviceId is one byte; 0 is the CPU). The default name is
+  /// `base.name + " x" + n`.
+  [[nodiscard]] static Topology replicated(const Topology& base, std::size_t n,
                                            std::string name = "");
 
-  /// The paper's testbed as a 1-accelerator topology (the default).
+  /// The paper's testbed: RTX A6000 (PCIe 4.0 x16) + Xeon Gold 5220R capped
+  /// at 10 cores. Throughputs are sustained figures for 4-bit kernels, not
+  /// peak datasheet numbers. The default hardware everywhere.
   [[nodiscard]] static Topology a6000_xeon10();
   /// Two A6000-class GPUs on dedicated PCIe 4.0 x16 links, shared Xeon host.
   [[nodiscard]] static Topology dual_a6000();
   /// Four simulated mid-range GPUs (A6000 halved, x8 links) for scaling
   /// studies — aggregate compute of dual_a6000, twice the scheduling freedom.
   [[nodiscard]] static Topology quad_sim();
+  /// A smaller edge box (laptop dGPU + 8-core mobile CPU) for scaling studies.
+  [[nodiscard]] static Topology laptop_edge();
+  /// Unit-cost machine used by scheduler unit tests: CPU time == load units,
+  /// GPU time == 1 per expert, transfer == 3 (the Fig. 5 worked example).
+  [[nodiscard]] static Topology unit_test();
 
   /// Split a total expert-cache capacity across accelerators proportionally
   /// to cache_share (floor + remainder to the lowest-index devices), so the
   /// slot total is preserved exactly. Single-accelerator topologies get the
-  /// whole budget on device 0 — bit-compatible with the pair model.
+  /// whole budget on device 0.
   [[nodiscard]] std::vector<std::size_t> split_cache_capacity(std::size_t total) const;
 };
+
+/// Benchmark-pinned surface: bench/e2e sets the harness hardware through
+/// this older name of Topology, so the alias stays.
+using MachineProfile = Topology;
 
 }  // namespace hybrimoe::hw

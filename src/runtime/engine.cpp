@@ -50,15 +50,14 @@ class Residency {
   /// the only ones it plans for. Null when there are none.
   const std::unordered_set<moe::ExpertId>* beyond_primary(std::size_t layer) {
     elsewhere_.clear();
-    staged_.for_each_word([&](std::size_t l, std::size_t w, std::uint64_t bits) {
+    const auto keep_later = [&](std::size_t l, std::size_t w, std::uint64_t bits) {
       if (l > layer)
         cache::ExpertBitset::for_each_bit(
             l, w, bits, [&](moe::ExpertId id) { elsewhere_.insert(id); });
-    });
+    };
+    staged_.for_each_word(keep_later);
     for (std::size_t a = 1; a < caches_.size(); ++a)
-      if (available(a))
-        for (const moe::ExpertId id : caches_[a]->residents())
-          if (id.layer > layer) elsewhere_.insert(id);
+      if (available(a)) caches_[a]->resident_set().for_each_word(keep_later);
     return elsewhere_.empty() ? nullptr : &elsewhere_;
   }
 

@@ -146,11 +146,9 @@ hw::Topology resolve_topology(const TopologySpec& spec) {
   if (spec.devices.has_value() && *spec.devices != topology.num_accelerators()) {
     HYBRIMOE_REQUIRE(*spec.devices >= 1 && *spec.devices <= 254,
                      "topology 'devices' must be in [1, 254]");
-    const hw::AcceleratorProfile base = topology.accelerators.front();
-    topology.accelerators.resize(*spec.devices, base);
-    for (std::size_t i = 0; i < topology.accelerators.size(); ++i)
-      topology.accelerators[i].name = "gpu" + std::to_string(i);
-    topology.name += " [devices=" + std::to_string(*spec.devices) + "]";
+    topology = hw::Topology::replicated(
+        topology, *spec.devices,
+        topology.name + " [devices=" + std::to_string(*spec.devices) + "]");
   }
   topology.validate();
   return topology;

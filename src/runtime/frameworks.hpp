@@ -111,9 +111,10 @@ struct EngineBuildInfo {
 
 /// \brief Resolve a TopologySpec against the topology registry: empty
 /// preset means the paper testbed (hw::Topology::a6000_xeon10()); a
-/// `devices` override replicates/truncates the preset's accelerator list to
-/// exactly that count (re-deriving names, keeping per-device parameters).
-/// Callers build their hw::CostModel from the result before make_engine.
+/// `devices` override that differs from the preset's count is
+/// hw::Topology::replicated(preset, devices), named "<preset name>
+/// [devices=N]". Callers build their hw::CostModel from the result (or set
+/// ExperimentSpec::machine to it) before make_engine.
 [[nodiscard]] hw::Topology resolve_topology(const TopologySpec& spec);
 
 /// \brief Resolve one stack argument — the CLI grammar shared by the

@@ -20,8 +20,7 @@ workload::TraceGenParams warmup_params(const workload::TraceGenParams& base) {
 
 ExperimentHarness::ExperimentHarness(ExperimentSpec spec)
     : spec_(std::move(spec)),
-      costs_(spec_.topology.value_or(hw::Topology::from_machine(spec_.machine)),
-             spec_.model),
+      costs_(spec_.machine, spec_.model),
       generator_(spec_.model, spec_.trace) {
   // Warmup statistics from an independent trace: same gates, different
   // token process — no oracle knowledge of the evaluation trace.

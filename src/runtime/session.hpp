@@ -18,7 +18,6 @@
 
 #include <map>
 #include <memory>
-#include <optional>
 #include <span>
 
 #include "runtime/frameworks.hpp"
@@ -31,12 +30,11 @@ namespace hybrimoe::runtime {
 /// Full description of one experimental setting.
 struct ExperimentSpec {
   moe::ModelConfig model;
-  /// Benchmark-pinned surface: bench/e2e sets it, so the field stays.
-  hw::MachineProfile machine = hw::MachineProfile::a6000_xeon10();
-  /// Multi-device complement; when set it overrides `machine` as the cost
-  /// model's hardware description (machine stays as the legacy single-pair
-  /// field so existing specs are untouched).
-  std::optional<hw::Topology> topology;
+  /// The hardware every built engine charges against: the harness's cost
+  /// model is CostModel(machine, model). Callers running a stack with a
+  /// "topology" section set it to resolve_topology(stack.topology).
+  /// Benchmark-pinned surface: bench/e2e sets it, so the field name stays.
+  hw::Topology machine = hw::Topology::a6000_xeon10();
   double cache_ratio = 0.25;
   workload::TraceGenParams trace;  ///< includes the seed
   std::size_t warmup_steps = 48;   ///< decode steps observed by the warmup

@@ -132,12 +132,10 @@ const TopologyRegistrar kQuadSimTopology{
     "quad_sim", [] { return hw::Topology::quad_sim(); }};
 
 const TopologyRegistrar kLaptopEdgeTopology{
-    "laptop_edge",
-    [] { return hw::Topology::from_machine(hw::MachineProfile::laptop_edge()); }};
+    "laptop_edge", [] { return hw::Topology::laptop_edge(); }};
 
 const TopologyRegistrar kUnitTestTopology{
-    "unit_test",
-    [] { return hw::Topology::from_machine(hw::MachineProfile::unit_test_machine()); }};
+    "unit_test", [] { return hw::Topology::unit_test(); }};
 
 }  // namespace
 

@@ -119,7 +119,8 @@ struct StackSpec {
   CacheSpec cache;
   PrefetchSpec prefetch;
   /// Device complement the stack is meant to run on. Callers build the cost
-  /// model via resolve_topology(spec.topology) (frameworks.hpp); make_engine
+  /// model (or set ExperimentSpec::machine) via
+  /// resolve_topology(spec.topology) (frameworks.hpp); make_engine
   /// cross-checks the accelerator count against the cost model it is given.
   TopologySpec topology;
 

@@ -38,7 +38,7 @@ workload::ForwardTrace make_trace(std::size_t experts = 8) {
 class PrefetcherTest : public ::testing::Test {
  protected:
   moe::ModelConfig model_ = moe::ModelConfig::tiny();
-  hw::CostModel costs_{hw::MachineProfile::unit_test_machine(), model_};
+  hw::CostModel costs_{hw::Topology::unit_test(), model_};
   cache::ExpertCache cache_{4, std::make_unique<cache::LruPolicy>()};
 };
 

@@ -25,41 +25,5 @@ TEST(HottestExpertsTest, CountClamped) {
   EXPECT_TRUE(hottest_experts({}, 5).empty());
 }
 
-TEST(RunWarmupTest, ProducesCalibratedProfileAndFrequencies) {
-  const auto model = moe::ModelConfig::deepseek();
-  const hw::CostModel truth(hw::MachineProfile::a6000_xeon10(), model);
-  workload::TraceGenParams params;
-  params.seed = 55;
-  workload::TraceGenerator generator(model, params);
-  util::Rng rng(56);
-
-  const auto result = run_warmup(truth, generator, 16, rng, 0.02);
-  EXPECT_NO_THROW(result.fitted_machine.validate());
-  ASSERT_EQ(result.expert_frequencies.size(), model.num_layers);
-
-  // The fitted machine reproduces the ground-truth timings within tolerance.
-  const hw::CostModel fitted(result.fitted_machine, model);
-  EXPECT_NEAR(fitted.transfer_time(0), truth.transfer_time(0),
-              truth.transfer_time(0) * 0.15);
-  EXPECT_NEAR(fitted.cpu_expert_time(128), truth.cpu_expert_time(128),
-              truth.cpu_expert_time(128) * 0.25);
-
-  // Frequencies cover 16 steps x top_k activations per layer.
-  for (const auto& layer : result.expert_frequencies) {
-    double total = 0.0;
-    for (const double f : layer) total += f;
-    EXPECT_DOUBLE_EQ(total, 16.0 * static_cast<double>(model.top_k));
-  }
-}
-
-TEST(RunWarmupTest, RejectsZeroSteps) {
-  const auto model = moe::ModelConfig::tiny();
-  const hw::CostModel truth(hw::MachineProfile::unit_test_machine(), model);
-  workload::TraceGenParams params;
-  workload::TraceGenerator generator(model, params);
-  util::Rng rng(1);
-  EXPECT_THROW((void)run_warmup(truth, generator, 0, rng), std::invalid_argument);
-}
-
 }  // namespace
 }  // namespace hybrimoe::core

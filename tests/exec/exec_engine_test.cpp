@@ -45,7 +45,7 @@ exec::ExecOptions exec_options() {
 ExperimentSpec tiny_spec() {
   ExperimentSpec spec;
   spec.model = moe::ModelConfig::tiny();
-  spec.machine = hw::MachineProfile::unit_test_machine();
+  spec.machine = hw::Topology::unit_test();
   spec.cache_ratio = 0.25;
   spec.trace.seed = 7;
   spec.warmup_steps = 16;

@@ -36,7 +36,7 @@ constexpr double kScale = 3e-4;
 constexpr double kCoarseScale = 10 * kScale;
 
 hw::CostModel unit_costs() {
-  return {hw::MachineProfile::unit_test_machine(), moe::ModelConfig::tiny()};
+  return {hw::Topology::unit_test(), moe::ModelConfig::tiny()};
 }
 
 ExecOptions options_with(double scale = kScale) {

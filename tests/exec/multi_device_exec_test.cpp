@@ -25,7 +25,7 @@ using sched::ExpertDemand;
 using sched::Stage;
 
 hw::CostModel multi_costs(std::size_t devices) {
-  return {hw::Topology::replicated(hw::MachineProfile::unit_test_machine(), devices),
+  return {hw::Topology::replicated(hw::Topology::unit_test(), devices),
           moe::ModelConfig::tiny()};
 }
 
@@ -206,7 +206,7 @@ TEST_F(MultiDeviceEngineTest, MultiDeviceEngineDigestsMatchAcrossExecutionModes)
   // assignment moves computation across lanes but must never change the
   // result (the digest) or any modeled metric.
   const hw::CostModel dual_costs(
-      hw::Topology::replicated(hw::MachineProfile::unit_test_machine(), 2), model_);
+      hw::Topology::replicated(hw::Topology::unit_test(), 2), model_);
   StackSpec spec = preset_spec(Framework::HybriMoE);
 
   exec::ExecOptions options;

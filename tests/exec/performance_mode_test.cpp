@@ -46,7 +46,7 @@ exec::ExecOptions exec_options(bool quantized = false) {
 ExperimentSpec tiny_spec() {
   ExperimentSpec spec;
   spec.model = moe::ModelConfig::tiny();
-  spec.machine = hw::MachineProfile::unit_test_machine();
+  spec.machine = hw::Topology::unit_test();
   spec.cache_ratio = 0.25;
   spec.trace.seed = 7;
   spec.warmup_steps = 16;

@@ -69,7 +69,7 @@ void print_stage(const std::string& label, runtime::OffloadEngine& engine,
 /// warmup histogram and one seeded prefill/decode trace pair.
 struct EngineFixture {
   moe::ModelConfig model = moe::ModelConfig::tiny(4, 8, 2);
-  hw::CostModel costs{hw::MachineProfile::unit_test_machine(), model};
+  hw::CostModel costs{hw::Topology::unit_test(), model};
   runtime::EngineBuildInfo info;
   workload::PrefillTrace prefill;
   workload::DecodeTrace decode;
@@ -148,7 +148,7 @@ void print_serve(const std::string& label, const workload::RequestStreamParams& 
                  const runtime::ServeOptions& options) {
   runtime::ExperimentSpec spec;
   spec.model = moe::ModelConfig::tiny(4, 8, 2);
-  spec.machine = hw::MachineProfile::unit_test_machine();
+  spec.machine = hw::Topology::unit_test();
   spec.cache_ratio = 0.25;
   spec.trace.seed = 91;
   spec.warmup_steps = 8;
@@ -289,8 +289,7 @@ void print_topology_cases() {
   const hw::CostModel truth(hw::Topology::a6000_xeon10(), deepseek);
   util::Rng rng(101);
   const auto samples = hw::simulate_measurements(truth, rng, 8, 0.05);
-  print_topology("fit a6000_xeon10 deepseek",
-                 hw::Topology::from_machine(hw::fit_machine_profile(samples, deepseek)));
+  print_topology("fit a6000_xeon10 deepseek", hw::fit_topology(samples, deepseek));
 }
 
 }  // namespace

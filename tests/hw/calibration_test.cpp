@@ -31,13 +31,13 @@ TEST(FitLinearTest, RejectsDegenerateInput) {
 class CalibrationTest : public ::testing::Test {
  protected:
   moe::ModelConfig model_ = moe::ModelConfig::deepseek();
-  CostModel truth_{MachineProfile::a6000_xeon10(), model_};
+  CostModel truth_{Topology::a6000_xeon10(), model_};
 };
 
 TEST_F(CalibrationTest, NoiselessFitRecoversTimings) {
   util::Rng rng(101);
   const auto samples = simulate_measurements(truth_, rng, 2, /*noise=*/0.0);
-  const auto fitted = fit_machine_profile(samples, model_);
+  const auto fitted = fit_topology(samples, model_);
   const CostModel fit_costs(fitted, model_);
 
   // The warmup phase must reproduce the quantities scheduling consumes.
@@ -60,7 +60,7 @@ TEST_F(CalibrationTest, NoiselessFitRecoversTimings) {
 TEST_F(CalibrationTest, NoisyFitStaysInBand) {
   util::Rng rng(102);
   const auto samples = simulate_measurements(truth_, rng, 8, /*noise=*/0.05);
-  const auto fitted = fit_machine_profile(samples, model_);
+  const auto fitted = fit_topology(samples, model_);
   const CostModel fit_costs(fitted, model_);
   EXPECT_NEAR(fit_costs.transfer_time(0), truth_.transfer_time(0),
               truth_.transfer_time(0) * 0.15);
@@ -73,12 +73,12 @@ TEST_F(CalibrationTest, NoisyFitStaysInBand) {
 TEST_F(CalibrationTest, FittedProfileValidates) {
   util::Rng rng(103);
   const auto samples = simulate_measurements(truth_, rng, 4, 0.02);
-  EXPECT_NO_THROW(fit_machine_profile(samples, model_).validate());
+  EXPECT_NO_THROW(fit_topology(samples, model_).validate());
 }
 
 TEST_F(CalibrationTest, RequiresEnoughSamples) {
   WarmupMeasurements empty;
-  EXPECT_THROW((void)fit_machine_profile(empty, model_), std::invalid_argument);
+  EXPECT_THROW((void)fit_topology(empty, model_), std::invalid_argument);
 }
 
 TEST_F(CalibrationTest, MeasurementSweepCoversRegimes) {

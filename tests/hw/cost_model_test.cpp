@@ -2,19 +2,24 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
+#include "runtime/stack_registry.hpp"
+
 namespace hybrimoe::hw {
 namespace {
 
 class CostModelTest : public ::testing::Test {
  protected:
   moe::ModelConfig model_ = moe::ModelConfig::deepseek();
-  CostModel costs_{MachineProfile::a6000_xeon10(), model_};
+  CostModel costs_{Topology::a6000_xeon10(), model_};
 };
 
 TEST_F(CostModelTest, ProfilesValidate) {
-  EXPECT_NO_THROW(MachineProfile::a6000_xeon10().validate());
-  EXPECT_NO_THROW(MachineProfile::laptop_edge().validate());
-  EXPECT_NO_THROW(MachineProfile::unit_test_machine().validate());
+  auto& presets = runtime::topology_registry();
+  ASSERT_FALSE(presets.names().empty());
+  for (const std::string& name : presets.names())
+    EXPECT_NO_THROW(presets.get(name)().validate()) << name;
 }
 
 TEST_F(CostModelTest, GpuFlatCpuLinear_Fig3f) {
@@ -81,9 +86,9 @@ TEST_F(CostModelTest, MonotoneInTokens) {
 }
 
 TEST_F(CostModelTest, SharedExpertsScaleWithCount) {
-  const CostModel mixtral(MachineProfile::a6000_xeon10(), moe::ModelConfig::mixtral());
+  const CostModel mixtral(Topology::a6000_xeon10(), moe::ModelConfig::mixtral());
   EXPECT_EQ(mixtral.shared_experts_time(8), 0.0);  // no shared experts
-  const CostModel deepseek(MachineProfile::a6000_xeon10(), moe::ModelConfig::deepseek());
+  const CostModel deepseek(Topology::a6000_xeon10(), moe::ModelConfig::deepseek());
   EXPECT_GT(deepseek.shared_experts_time(8), 0.0);
 }
 
@@ -117,7 +122,7 @@ TEST_F(CostModelTest, GemmRampMonotoneAndBounded) {
 TEST_F(CostModelTest, UnitMachineRatios) {
   // The unit machine promises: cpu == load units, gpu == 1, transfer == 3,
   // for ModelConfig::tiny().
-  const CostModel unit(MachineProfile::unit_test_machine(), moe::ModelConfig::tiny());
+  const CostModel unit(Topology::unit_test(), moe::ModelConfig::tiny());
   EXPECT_NEAR(unit.cpu_expert_time(1), 1.0, 1e-9);
   EXPECT_NEAR(unit.cpu_expert_time(4), 4.0, 1e-9);
   EXPECT_NEAR(unit.gpu_expert_time(1, 0), 1.0, 1e-9);
@@ -126,11 +131,14 @@ TEST_F(CostModelTest, UnitMachineRatios) {
 }
 
 TEST_F(CostModelTest, InvalidMachineRejected) {
-  MachineProfile bad = MachineProfile::a6000_xeon10();
+  Topology bad = Topology::a6000_xeon10();
   bad.cpu.flops = 0.0;
   EXPECT_THROW(CostModel(bad, model_), std::invalid_argument);
-  bad = MachineProfile::a6000_xeon10();
-  bad.pcie.bandwidth = -1.0;
+  bad = Topology::a6000_xeon10();
+  bad.accelerators[0].link.bandwidth = -1.0;
+  EXPECT_THROW(CostModel(bad, model_), std::invalid_argument);
+  bad = Topology::a6000_xeon10();
+  bad.accelerators.clear();
   EXPECT_THROW(CostModel(bad, model_), std::invalid_argument);
 }
 
@@ -139,7 +147,7 @@ class ModelRegimeTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(ModelRegimeTest, TransferCostScalesWithExpertBytes) {
   const auto& model = moe::paper_models()[static_cast<std::size_t>(GetParam())];
-  const CostModel costs(MachineProfile::a6000_xeon10(), model);
+  const CostModel costs(Topology::a6000_xeon10(), model);
   const TransferLinkParams& link = costs.topology().accelerators[0].link;
   const double expected =
       link.latency + static_cast<double>(model.routed_expert_bytes()) / link.bandwidth;

@@ -13,7 +13,7 @@ ExperimentSpec spec_for(const moe::ModelConfig& model, double ratio,
                         std::uint64_t seed = 1001) {
   ExperimentSpec spec;
   spec.model = model;
-  spec.machine = hw::MachineProfile::a6000_xeon10();
+  spec.machine = hw::Topology::a6000_xeon10();
   spec.cache_ratio = ratio;
   spec.trace.seed = seed;
   spec.warmup_steps = 16;
@@ -118,7 +118,7 @@ TEST(EndToEndTest, FullyCachedDecodeHasAlmostNoMisses) {
 TEST(EndToEndTest, SingleLayerAndSingleStepEdgeCases) {
   ExperimentSpec spec;
   spec.model = moe::ModelConfig::tiny(1, 4, 1);
-  spec.machine = hw::MachineProfile::unit_test_machine();
+  spec.machine = hw::Topology::unit_test();
   spec.cache_ratio = 0.5;
   spec.trace.seed = 5;
   spec.warmup_steps = 2;

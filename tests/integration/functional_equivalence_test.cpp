@@ -56,7 +56,7 @@ TEST_P(FunctionalEquivalenceTest, SchedulerPartitionPreservesForward) {
   const auto reference = layer.forward(x);
 
   const moe::ModelConfig model = moe::ModelConfig::tiny(1, kExperts, kTopK);
-  const hw::CostModel costs(hw::MachineProfile::unit_test_machine(), model);
+  const hw::CostModel costs(hw::Topology::unit_test(), model);
 
   // Random cached subset; try every scheduling option set.
   std::vector<sched::ExpertDemand> demands;
@@ -88,7 +88,7 @@ TEST(FunctionalQuantizedTest, QuantizedPartitionMatchesQuantizedReference) {
   const auto reference = layer.forward(x);
 
   const moe::ModelConfig model = moe::ModelConfig::tiny(1, 8, 2);
-  const hw::CostModel costs(hw::MachineProfile::unit_test_machine(), model);
+  const hw::CostModel costs(hw::Topology::unit_test(), model);
   std::vector<sched::ExpertDemand> demands;
   for (const auto e : routing.experts)
     demands.push_back({static_cast<std::uint16_t>(e), 1, e % 2 == 0});

@@ -18,7 +18,7 @@ namespace {
 ExperimentSpec spec_for(const moe::ModelConfig& model, double ratio) {
   ExperimentSpec spec;
   spec.model = model;
-  spec.machine = hw::MachineProfile::a6000_xeon10();
+  spec.machine = hw::Topology::a6000_xeon10();
   spec.cache_ratio = ratio;
   spec.trace.seed = 20250408;
   spec.warmup_steps = 32;
@@ -225,7 +225,7 @@ TEST(PaperShapesTest, HybriMoEStepMakespanNeverExceedsOnDemandUnderLoad) {
   // exceed OnDemand's at any arrival rate.
   ExperimentSpec spec;
   spec.model = moe::ModelConfig::deepseek();
-  spec.machine = hw::MachineProfile::a6000_xeon10();
+  spec.machine = hw::Topology::a6000_xeon10();
   spec.cache_ratio = 0.25;
   spec.trace.seed = 20250408;
   ExperimentHarness harness(spec);

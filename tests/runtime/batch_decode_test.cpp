@@ -14,7 +14,7 @@ class BatchDecodeEngineTest : public ::testing::Test {
  protected:
   BatchDecodeEngineTest()
       : model_(moe::ModelConfig::deepseek()),
-        costs_(hw::MachineProfile::a6000_xeon10(), model_) {
+        costs_(hw::Topology::a6000_xeon10(), model_) {
     workload::TraceGenParams wparams;
     wparams.seed = 314;
     workload::TraceGenerator warmup(model_, wparams);

@@ -17,7 +17,7 @@ class EngineTest : public ::testing::Test {
  protected:
   EngineTest()
       : model_(moe::ModelConfig::tiny(4, 8, 2)),
-        costs_(hw::MachineProfile::unit_test_machine(), model_) {}
+        costs_(hw::Topology::unit_test(), model_) {}
 
   EngineComponents hybrid_components(std::size_t capacity) {
     EngineComponents c;
@@ -313,7 +313,7 @@ class EngineResidencyTest : public ::testing::TestWithParam<std::size_t> {
  protected:
   EngineResidencyTest()
       : model_(moe::ModelConfig::tiny(8, 16, 4)),
-        costs_(hw::Topology::replicated(hw::MachineProfile::unit_test_machine(), GetParam()),
+        costs_(hw::Topology::replicated(hw::Topology::unit_test(), GetParam()),
                model_) {}
 
   OffloadEngine engine(std::size_t per_device) {

@@ -11,7 +11,7 @@ class FrameworksTest : public ::testing::Test {
  protected:
   FrameworksTest()
       : model_(moe::ModelConfig::tiny(4, 8, 2)),
-        costs_(hw::MachineProfile::unit_test_machine(), model_) {
+        costs_(hw::Topology::unit_test(), model_) {
     info_.cache_ratio = 0.25;
     // Simple warmup frequencies: expert e of layer l has frequency e.
     info_.warmup_frequencies.assign(model_.num_layers,

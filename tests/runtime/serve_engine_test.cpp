@@ -15,7 +15,7 @@ namespace {
 ExperimentSpec tiny_spec(std::uint64_t seed = 91) {
   ExperimentSpec spec;
   spec.model = moe::ModelConfig::tiny(4, 8, 2);
-  spec.machine = hw::MachineProfile::unit_test_machine();
+  spec.machine = hw::Topology::unit_test();
   spec.cache_ratio = 0.25;
   spec.trace.seed = seed;
   spec.warmup_steps = 8;
@@ -300,7 +300,7 @@ TEST(ServeEngineTest, MultiDeviceDecodeReportsEveryDeviceCache) {
     topology.devices = devices;
     ExperimentSpec spec;
     spec.model = moe::ModelConfig::deepseek();
-    spec.topology = resolve_topology(topology);
+    spec.machine = resolve_topology(topology);
     spec.cache_ratio = std::min(0.25 * static_cast<double>(devices), 0.75);
     ExperimentHarness harness(spec);
     StackSpec stack = preset_spec(Framework::HybriMoE);
@@ -322,7 +322,7 @@ TEST(ServeEngineTest, MultiDeviceServeCountsTransientAndDeviceHits) {
   TopologySpec topology;
   topology.devices = 2;
   ExperimentSpec spec = tiny_spec();
-  spec.topology = resolve_topology(topology);
+  spec.machine = resolve_topology(topology);
   ExperimentHarness harness(spec);
   StackSpec stack = preset_spec(Framework::HybriMoE);
   stack.topology = topology;

@@ -11,7 +11,7 @@ namespace {
 ExperimentSpec tiny_spec(std::uint64_t seed = 91) {
   ExperimentSpec spec;
   spec.model = moe::ModelConfig::tiny(4, 8, 2);
-  spec.machine = hw::MachineProfile::unit_test_machine();
+  spec.machine = hw::Topology::unit_test();
   spec.cache_ratio = 0.25;
   spec.trace.seed = seed;
   spec.warmup_steps = 8;

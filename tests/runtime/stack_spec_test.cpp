@@ -247,7 +247,7 @@ class StackSpecEngineTest : public ::testing::Test {
  protected:
   StackSpecEngineTest() {
     spec_.model = moe::ModelConfig::tiny(4, 8, 2);
-    spec_.machine = hw::MachineProfile::unit_test_machine();
+    spec_.machine = hw::Topology::unit_test();
     spec_.cache_ratio = 0.25;
     spec_.trace.seed = 91;
     spec_.warmup_steps = 8;
@@ -381,7 +381,7 @@ TEST_F(StackSpecEngineTest, TopologyMismatchWithCostModelIsRejected) {
 }
 
 TEST_F(StackSpecEngineTest, MultiDeviceHarnessBuildsAndSplitsTheCache) {
-  spec_.topology = hw::Topology::replicated(hw::MachineProfile::unit_test_machine(), 2);
+  spec_.machine = hw::Topology::replicated(hw::Topology::unit_test(), 2);
   ExperimentHarness harness(spec_);
   StackSpec spec;  // HybriMoE components, no explicit topology section
   auto engine = harness.build(spec);

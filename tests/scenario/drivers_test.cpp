@@ -20,9 +20,7 @@ constexpr std::array<std::uint64_t, 8> kSeeds{3, 7, 11, 17, 23, 42, 101, 977};
 runtime::ExperimentSpec tiny_spec(std::uint64_t seed) {
   runtime::ExperimentSpec spec;
   spec.model = moe::ModelConfig::tiny(4, 8, 2);
-  spec.machine = hw::MachineProfile::unit_test_machine();
-  spec.topology =
-      hw::Topology::replicated(hw::MachineProfile::unit_test_machine(), 2);
+  spec.machine = hw::Topology::replicated(hw::Topology::unit_test(), 2);
   spec.cache_ratio = 0.25;
   spec.trace.seed = seed;
   spec.warmup_steps = 8;

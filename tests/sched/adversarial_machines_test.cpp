@@ -13,11 +13,11 @@
 namespace hybrimoe::sched {
 namespace {
 
-hw::MachineProfile base_machine() { return hw::MachineProfile::unit_test_machine(); }
+hw::Topology base_machine() { return hw::Topology::unit_test(); }
 
 struct MachineCase {
   const char* name;
-  hw::MachineProfile machine;
+  hw::Topology machine;
 };
 
 std::vector<MachineCase> adversarial_machines() {
@@ -29,12 +29,12 @@ std::vector<MachineCase> adversarial_machines() {
   }
   {
     auto m = base_machine();  // nearly free PCIe link
-    m.pcie.bandwidth *= 1000.0;
+    m.accelerators[0].link.bandwidth *= 1000.0;
     cases.push_back({"free_link", m});
   }
   {
     auto m = base_machine();  // nearly useless PCIe link
-    m.pcie.bandwidth /= 1000.0;
+    m.accelerators[0].link.bandwidth /= 1000.0;
     cases.push_back({"dead_link", m});
   }
   {
@@ -44,7 +44,7 @@ std::vector<MachineCase> adversarial_machines() {
   }
   {
     auto m = base_machine();  // huge GPU launch overhead (tiny kernels)
-    m.gpu.launch_overhead = 10.0;
+    m.accelerators[0].compute.launch_overhead = 10.0;
     cases.push_back({"slow_launch", m});
   }
   return cases;
@@ -86,7 +86,7 @@ TEST(AdversarialMachinesTest, CpuDominantMachinePrefersCpu) {
 
 TEST(AdversarialMachinesTest, DeadLinkDegradesToFixedMapping) {
   auto m = base_machine();
-  m.pcie.bandwidth /= 1000.0;  // transfer ~3000 units
+  m.accelerators[0].link.bandwidth /= 1000.0;  // transfer ~3000 units
   const hw::CostModel costs(m, moe::ModelConfig::tiny());
   const std::vector<ExpertDemand> demands = {
       {0, 4, false}, {1, 2, false}, {2, 3, true}};
@@ -96,7 +96,7 @@ TEST(AdversarialMachinesTest, DeadLinkDegradesToFixedMapping) {
 
 TEST(AdversarialMachinesTest, FreeLinkStreamsHeavyWork) {
   auto m = base_machine();
-  m.pcie.bandwidth *= 1000.0;  // transfer ~0.003 units
+  m.accelerators[0].link.bandwidth *= 1000.0;  // transfer ~0.003 units
   const hw::CostModel costs(m, moe::ModelConfig::tiny());
   const std::vector<ExpertDemand> demands = {{0, 50, false}, {1, 1, false}};
   const auto plan = simulate_layer(0, Stage::Decode, demands, costs);

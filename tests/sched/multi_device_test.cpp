@@ -1,12 +1,14 @@
 /// \file multi_device_test.cpp
 /// Scheduler invariants on N-device plans: every routed expert placed
 /// exactly once, per-link transfer orders consistent with device_order,
-/// per-device resource exclusivity (validate_plan), single-pair equivalence
-/// between MachineProfile- and Topology-built cost models, and the basic
+/// per-device resource exclusivity (validate_plan), and the basic
 /// DeviceId/DeviceSet/Topology algebra.
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "hw/topology.hpp"
@@ -18,7 +20,7 @@ namespace hybrimoe::sched {
 namespace {
 
 hw::CostModel multi_costs(std::size_t devices) {
-  return {hw::Topology::replicated(hw::MachineProfile::unit_test_machine(), devices),
+  return {hw::Topology::replicated(hw::Topology::unit_test(), devices),
           moe::ModelConfig::tiny()};
 }
 
@@ -57,7 +59,7 @@ TEST(DeviceSet, ContainsExactlyItsDevices) {
 }
 
 TEST(Topology, ReplicatedAndSplit) {
-  const auto topo = hw::Topology::replicated(hw::MachineProfile::a6000_xeon10(), 3);
+  const auto topo = hw::Topology::replicated(hw::Topology::a6000_xeon10(), 3);
   EXPECT_EQ(topo.num_accelerators(), 3u);
   EXPECT_EQ(topo.accelerators[2].name, "gpu2");
   const auto split = topo.split_cache_capacity(10);
@@ -67,16 +69,23 @@ TEST(Topology, ReplicatedAndSplit) {
   EXPECT_EQ(split[0], 4u);
   EXPECT_EQ(split[1], 3u);
   EXPECT_EQ(split[2], 3u);
-}
 
-TEST(Topology, RoundTripsThroughMachineProfile) {
-  const auto machine = hw::MachineProfile::laptop_edge();
-  const auto topo = hw::Topology::from_machine(machine);
-  ASSERT_EQ(topo.num_accelerators(), 1u);
-  const hw::AcceleratorProfile& gpu = topo.accelerators.front();
-  EXPECT_EQ(gpu.compute.flops, machine.gpu.flops);
-  EXPECT_EQ(gpu.link.bandwidth, machine.pcie.bandwidth);
-  EXPECT_EQ(topo.cpu.flops, machine.cpu.flops);
+  // Multi-accelerator bases: every entry copies accelerator 0 bit for bit
+  // and the names run gpu0.., whether the list grows or shrinks.
+  for (const auto& [base, n] : {std::pair{hw::Topology::quad_sim(), std::size_t{2}},
+                                std::pair{hw::Topology::dual_a6000(), std::size_t{3}}}) {
+    const auto resized = hw::Topology::replicated(base, n);
+    ASSERT_EQ(resized.num_accelerators(), n);
+    EXPECT_EQ(resized.name, base.name + " x" + std::to_string(n));
+    const hw::AcceleratorProfile& first = base.accelerators.front();
+    for (std::size_t i = 0; i < n; ++i) {
+      const hw::AcceleratorProfile& accel = resized.accelerators[i];
+      EXPECT_EQ(accel.name, "gpu" + std::to_string(i));
+      EXPECT_EQ(std::memcmp(&accel.compute, &first.compute, sizeof first.compute), 0);
+      EXPECT_EQ(std::memcmp(&accel.link, &first.link, sizeof first.link), 0);
+      EXPECT_EQ(accel.cache_share, first.cache_share);
+    }
+  }
 }
 
 TEST(MultiDeviceSimulator, EveryExpertPlacedExactlyOnceAndPlansValidate) {
@@ -159,33 +168,6 @@ TEST(MultiDeviceSimulator, MoreDevicesNeverHurtTheMakespan) {
   const double heavy_four =
       simulate_layer(0, Stage::Prefill, heavy, multi_costs(4), gpu_only).makespan;
   EXPECT_LT(heavy_four, heavy_one);
-}
-
-TEST(MultiDeviceSimulator, SingleDeviceTopologyMatchesMachineProfileBitForBit) {
-  const auto machine = hw::MachineProfile::unit_test_machine();
-  const hw::CostModel pair(machine, moe::ModelConfig::tiny());
-  const hw::CostModel topo(hw::Topology::from_machine(machine), moe::ModelConfig::tiny());
-  const auto demands = mixed_demands(1);
-  SimOptions options;
-  options.gpu_busy_until = 2.0;
-  options.link_busy_until = {1.0};
-  const LayerPlan a = simulate_layer(3, Stage::Decode, demands, pair, options);
-  const LayerPlan b = simulate_layer(3, Stage::Decode, demands, topo, options);
-  ASSERT_EQ(a.tasks.size(), b.tasks.size());
-  for (std::size_t i = 0; i < a.tasks.size(); ++i) {
-    EXPECT_EQ(a.tasks[i].expert, b.tasks[i].expert);
-    EXPECT_EQ(a.tasks[i].device, b.tasks[i].device);
-    EXPECT_EQ(a.tasks[i].start, b.tasks[i].start);  // bitwise
-    EXPECT_EQ(a.tasks[i].end, b.tasks[i].end);
-    EXPECT_EQ(a.tasks[i].transfer_start, b.tasks[i].transfer_start);
-    EXPECT_EQ(a.tasks[i].transfer_end, b.tasks[i].transfer_end);
-  }
-  EXPECT_EQ(a.makespan, b.makespan);
-  EXPECT_EQ(a.link_offsets, b.link_offsets);
-  EXPECT_EQ(a.link_ends, b.link_ends);
-  EXPECT_EQ(a.cpu_busy, b.cpu_busy);
-  EXPECT_EQ(a.gpu_busy, b.gpu_busy);
-  EXPECT_EQ(a.pcie_busy, b.pcie_busy);
 }
 
 TEST(MultiDeviceSimulator, HybridSchedulerThreadsLinkCarryPerLink) {

@@ -11,7 +11,7 @@ namespace {
 class OptimalTest : public ::testing::Test {
  protected:
   moe::ModelConfig model_ = moe::ModelConfig::tiny();
-  hw::CostModel costs_{hw::MachineProfile::unit_test_machine(), model_};
+  hw::CostModel costs_{hw::Topology::unit_test(), model_};
 };
 
 TEST_F(OptimalTest, SingleExpertChoosesCheaperDevice) {

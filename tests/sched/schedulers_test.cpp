@@ -10,7 +10,7 @@ namespace {
 class SchedulersTest : public ::testing::Test {
  protected:
   moe::ModelConfig model_ = moe::ModelConfig::tiny();
-  hw::CostModel costs_{hw::MachineProfile::unit_test_machine(), model_};
+  hw::CostModel costs_{hw::Topology::unit_test(), model_};
   std::vector<ExpertDemand> demands_ = {
       {0, 1, false}, {1, 4, false}, {2, 2, true}, {3, 6, true}};
 };

@@ -14,7 +14,7 @@ class SimulatorFaultTest : public ::testing::Test {
  protected:
   moe::ModelConfig model_ = moe::ModelConfig::tiny();
   hw::CostModel costs_{
-      hw::Topology::replicated(hw::MachineProfile::unit_test_machine(), 2),
+      hw::Topology::replicated(hw::Topology::unit_test(), 2),
       model_};
 };
 

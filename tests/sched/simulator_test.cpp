@@ -15,7 +15,7 @@ namespace {
 class SimulatorTest : public ::testing::Test {
  protected:
   moe::ModelConfig model_ = moe::ModelConfig::tiny();
-  hw::CostModel costs_{hw::MachineProfile::unit_test_machine(), model_};
+  hw::CostModel costs_{hw::Topology::unit_test(), model_};
 };
 
 const ExpertTask* find_task(const LayerPlan& plan, std::uint16_t expert) {
@@ -165,7 +165,7 @@ TEST_F(SimulatorTest, PcieOffsetDelaysTransfers) {
 
 TEST_F(SimulatorTest, WarmupAppliedToFirstCpuTaskOnly) {
   moe::ModelConfig model = moe::ModelConfig::tiny();
-  hw::MachineProfile machine = hw::MachineProfile::unit_test_machine();
+  hw::Topology machine = hw::Topology::unit_test();
   machine.cpu.warmup_penalty = 0.5;
   const hw::CostModel costs(machine, model);
   const std::vector<ExpertDemand> demands = {{0, 1, false}, {1, 1, false}};
@@ -259,7 +259,7 @@ class PlanValidityTest : public ::testing::TestWithParam<OptionCase> {};
 TEST_P(PlanValidityTest, RandomInstancesAlwaysValid) {
   const auto& options = GetParam().options;
   const moe::ModelConfig model = moe::ModelConfig::tiny();
-  const hw::CostModel costs(hw::MachineProfile::unit_test_machine(), model);
+  const hw::CostModel costs(hw::Topology::unit_test(), model);
   util::Rng rng(7);
   for (int trial = 0; trial < 300; ++trial) {
     const auto n = static_cast<std::uint16_t>(rng.uniform_index(12) + 1);

@@ -83,8 +83,7 @@ TEST(KvSpecTest, ModelBytesPerTokenIsTwoFp16RowsPerLayer) {
 }
 
 TEST(KvSpecTest, DerivedBudgetScalesWithAccelerators) {
-  const auto single =
-      hw::Topology::from_machine(hw::MachineProfile::a6000_xeon10());
+  const auto single = hw::Topology::a6000_xeon10();
   EXPECT_DOUBLE_EQ(derived_kv_budget_mb(single), kKvMbPerAccelerator);
 }
 

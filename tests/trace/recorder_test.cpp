@@ -44,7 +44,7 @@ runtime::StackSpec hybrimoe_stack() {
 runtime::ExperimentSpec make_spec() {
   runtime::ExperimentSpec spec;
   spec.model = moe::ModelConfig::tiny();
-  spec.machine = hw::MachineProfile::unit_test_machine();
+  spec.machine = hw::Topology::unit_test();
   spec.cache_ratio = 0.25;
   spec.trace.seed = 42;
   return spec;

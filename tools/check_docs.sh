@@ -15,7 +15,9 @@
 #    serving goldens pin down), the trace subsystem (src/trace/*.hpp — its
 #    schema and comparator semantics are the regression-gate contract) plus
 #    the device-topology headers (src/hw/topology.hpp, src/sched/device.hpp —
-#    the vocabulary every layer of the stack now speaks), the engine-facing
+#    the vocabulary every layer of the stack now speaks), the warmup phase
+#    (src/hw/calibration.hpp, src/core/warmup.hpp — the measurements and
+#    statistics every scheduling decision starts from), the engine-facing
 #    API (src/hw/cost_model.hpp, src/sched/plan.hpp, src/runtime/engine.hpp,
 #    src/runtime/session.hpp, src/runtime/serve_engine.hpp,
 #    src/runtime/request.hpp — the cost queries, plan shape, engine,
@@ -41,7 +43,7 @@ fail=0
 # ---------------------------------------------------------------------------
 # 1. Doc-comment coverage.
 # ---------------------------------------------------------------------------
-doc_headers="src/core/prefetcher.hpp src/exec/*.hpp src/scenario/*.hpp src/serve_sim/*.hpp src/trace/*.hpp src/hw/topology.hpp src/hw/cost_model.hpp src/sched/device.hpp src/sched/plan.hpp src/sched/simulator.hpp src/sched/schedulers.hpp src/runtime/engine.hpp src/runtime/session.hpp src/runtime/serve_engine.hpp src/runtime/request.hpp src/kernels/simd.hpp"
+doc_headers="src/core/prefetcher.hpp src/exec/*.hpp src/scenario/*.hpp src/serve_sim/*.hpp src/trace/*.hpp src/hw/topology.hpp src/hw/cost_model.hpp src/hw/calibration.hpp src/core/warmup.hpp src/sched/device.hpp src/sched/plan.hpp src/sched/simulator.hpp src/sched/schedulers.hpp src/runtime/engine.hpp src/runtime/session.hpp src/runtime/serve_engine.hpp src/runtime/request.hpp src/kernels/simd.hpp"
 for header in $doc_headers; do
   out=$(awk '
     # Track public sections inside class bodies (structs default public).

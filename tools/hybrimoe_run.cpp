@@ -302,7 +302,7 @@ int main(int argc, char** argv) {
     }
     runtime::ExperimentSpec spec;
     spec.model = model_from_name(opts.model);
-    spec.topology = runtime::resolve_topology(stack.topology);
+    spec.machine = runtime::resolve_topology(stack.topology);
     spec.cache_ratio = opts.cache_ratio;
     spec.trace.seed = opts.seed;
     runtime::ExperimentHarness harness(spec);
@@ -354,7 +354,7 @@ int main(int argc, char** argv) {
     if (!opts.kv_budget.empty()) {
       serve_sim::KvSpec kv;
       kv.budget_mb = opts.kv_budget == "auto"
-                         ? serve_sim::derived_kv_budget_mb(*spec.topology)
+                         ? serve_sim::derived_kv_budget_mb(spec.machine)
                          : std::stod(opts.kv_budget);
       stack.kv = kv;
     }
@@ -390,7 +390,7 @@ int main(int argc, char** argv) {
       config.stack = stack.display_name();
       config.model = spec.model.name;
       config.seed = opts.seed;
-      config.devices = spec.topology->num_accelerators();
+      config.devices = spec.machine.num_accelerators();
       recorder.emplace(std::move(config));
     }
 
@@ -411,8 +411,8 @@ int main(int argc, char** argv) {
               << "spec    : " << runtime::to_json(stack) << "\n"
               << "model   : " << spec.model.name << " @ "
               << opts.cache_ratio * 100 << "% cache\n"
-              << "topology: " << spec.topology->name << " ("
-              << spec.topology->num_accelerators() << " accelerator(s))\n"
+              << "topology: " << spec.machine.name << " ("
+              << spec.machine.num_accelerators() << " accelerator(s))\n"
               << "stream  : " << opts.requests << " requests, "
               << to_string(stream.process) << " arrivals @ " << opts.rate
               << " req/s, seed " << opts.seed << "\n";
