@@ -94,6 +94,7 @@ struct Topology {
   /// The paper's testbed: RTX A6000 (PCIe 4.0 x16) + Xeon Gold 5220R capped
   /// at 10 cores. Throughputs are sustained figures for 4-bit kernels, not
   /// peak datasheet numbers. The default hardware everywhere.
+  /// Benchmark-pinned surface: bench/e2e calls it, so its signature stays.
   [[nodiscard]] static Topology a6000_xeon10();
   /// Two A6000-class GPUs on dedicated PCIe 4.0 x16 links, shared Xeon host.
   [[nodiscard]] static Topology dual_a6000();
