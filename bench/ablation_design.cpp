@@ -15,13 +15,23 @@
 #include "bench_common.hpp"
 #include "cache/classic_policies.hpp"
 #include "cache/mrs_policy.hpp"
-#include "core/warmup.hpp"
+#include "runtime/stack_registry.hpp"
 #include "sched/optimal.hpp"
 
 namespace {
 
 using namespace hybrimoe;
 using namespace hybrimoe::bench;
+
+/// The hybrid scheduler without the §IV-B simulated commit check: every
+/// transfer the priority rules pick is issued (naive PCIe priority).
+const runtime::SchedulerRegistrar kHybridUnchecked{
+    "hybrid-unchecked",
+    [](const runtime::ComponentContext&) -> std::unique_ptr<sched::LayerScheduler> {
+      sched::SimOptions options;
+      options.transfer_only_if_beneficial = false;
+      return std::make_unique<sched::SimScheduler>(sched::SimScheduler::hybrid(options));
+    }};
 
 double replay_hit_rate(const workload::DecodeTrace& trace, const moe::ModelConfig& model,
                        cache::ExpertCache& cache, bool feed_scores) {
@@ -82,11 +92,12 @@ int main() {
       auto spec = make_spec(model, kRatio);
       spec.trace.lookahead = std::max<std::size_t>(depth, 1);
       runtime::ExperimentHarness harness(spec);
-      core::HybriMoeConfig config;  // full HybriMoE
-      config.prefetch.depth = std::max<std::size_t>(depth, 1);
-      if (depth == 0) config.impact_prefetching = false;
-      const auto metrics =
-          harness.run_decode(runtime::ablation_spec(config), kDecodeSteps);
+      runtime::StackSpec stack = runtime::ablation_specs().back();  // "All"
+      if (depth == 0)
+        stack.prefetch.policy = "none";
+      else
+        stack.prefetch.depth = depth;
+      const auto metrics = harness.run_decode(stack, kDecodeSteps);
       const double tbt = metrics.tbt_mean();
       if (depth == 0) base_tbt = tbt;
       table.begin_row()
@@ -157,26 +168,15 @@ int main() {
     for (const auto& m : moe::paper_models()) {
       runtime::ExperimentHarness harness(make_spec(m, kRatio));
 
-      auto run_with = [&](bool check) {
-        sched::SimOptions options;
-        options.transfer_only_if_beneficial = check;
-        runtime::EngineComponents c;
-        c.name = check ? "checked" : "naive";
-        c.scheduler = std::make_unique<sched::SimScheduler>(sched::SimScheduler::hybrid(options));
-        c.caches.push_back(std::make_unique<cache::ExpertCache>(
-            cache::ExpertCache::capacity_for_ratio(m, kRatio),
-            std::make_unique<cache::MrsPolicy>()));
-        c.dynamic_cache_inserts = true;
-        c.update_policy_scores = true;
-        c.cache_maintenance = true;
-        runtime::OffloadEngine engine(std::move(c), harness.costs());
-        const auto hottest = core::hottest_experts(harness.warmup_frequencies(),
-                                                   engine.device_cache(0).capacity());
-        engine.seed_cache(hottest, /*pinned=*/false);
-        return engine.run_decode(harness.decode_trace(kDecodeSteps)).tbt_mean();
+      auto run_with = [&](const char* scheduler) {
+        runtime::StackSpec stack;  // hybrid + MRS, no prefetch or overhead
+        stack.scheduler.policy = scheduler;
+        stack.prefetch.policy = "none";
+        stack.overhead_us = 0.0;
+        return harness.run_decode(stack, kDecodeSteps).tbt_mean();
       };
-      const double naive = run_with(false);
-      const double checked = run_with(true);
+      const double naive = run_with("hybrid-unchecked");
+      const double checked = run_with("hybrid");
       table.begin_row()
           .add_cell(m.name)
           .add_cell(util::format_seconds(naive))

@@ -91,7 +91,7 @@ int main() {
     table.set_headers({"score rank", "reuse probability"});
     for (const std::size_t rank : {0UL, 1UL, 3UL, 5UL, 7UL, 11UL, 15UL, 23UL, 31UL, 47UL, 63UL}) {
       table.begin_row()
-          .add_cell("#" + std::to_string(rank + 1))
+          .add_cell(std::string("#").append(std::to_string(rank + 1)))
           .add_cell(reused[rank] / total[rank], 3);
     }
     table.print(std::cout);
@@ -120,7 +120,7 @@ int main() {
     for (const double q : {0.0, 0.1, 0.25, 0.5, 0.75, 0.9, 1.0}) {
       const auto idx = std::min(n - 1, static_cast<std::size_t>(q * static_cast<double>(n - 1)));
       table.begin_row()
-          .add_cell("p" + util::format_double((1.0 - q) * 100, 0))
+          .add_cell(std::string("p").append(util::format_double((1.0 - q) * 100, 0)))
           .add_cell(std::to_string(loads[idx]));
     }
     table.print(std::cout);

@@ -22,43 +22,30 @@ int main() {
 
   runtime::ExperimentHarness harness(make_spec(moe::ModelConfig::qwen2(), 0.25));
 
-  const core::HybriMoeConfig prefill_variants[] = {
-      core::HybriMoeConfig::baseline(),
-      core::HybriMoeConfig::scheduling_only(),
-      core::HybriMoeConfig::prefetching_only(),
-      core::HybriMoeConfig::full(),
-  };
-  const core::HybriMoeConfig decode_variants[] = {
-      core::HybriMoeConfig::baseline(),
-      core::HybriMoeConfig::scheduling_only(),
-      core::HybriMoeConfig::prefetching_only(),
-      core::HybriMoeConfig::caching_only(),
-      core::HybriMoeConfig::full(),
-  };
+  const std::vector<runtime::StackSpec> variants = runtime::ablation_specs();
 
   util::TextTable table("MoE inference speedup breakdown");
   table.set_headers({"stage", "technique", "latency (s)", "speedup"});
 
   double prefill_base = 0.0;
-  for (const auto& config : prefill_variants) {
-    const double latency =
-        harness.run_prefill(runtime::ablation_spec(config), kPrefillTokens).ttft();
-    if (config.label() == "Baseline") prefill_base = latency;
+  for (const auto& spec : variants) {
+    if (spec.name == "Baseline+Caching") continue;  // decode-only row
+    const double latency = harness.run_prefill(spec, kPrefillTokens).ttft();
+    if (spec.name == "Baseline") prefill_base = latency;
     table.begin_row()
         .add_cell("Prefill")
-        .add_cell(config.label())
+        .add_cell(spec.name)
         .add_cell(latency, 3)
         .add_cell(util::format_speedup(prefill_base / latency));
   }
 
   double decode_base = 0.0;
-  for (const auto& config : decode_variants) {
-    const double latency =
-        harness.run_decode(runtime::ablation_spec(config), kDecodeSteps).total_latency;
-    if (config.label() == "Baseline") decode_base = latency;
+  for (const auto& spec : variants) {
+    const double latency = harness.run_decode(spec, kDecodeSteps).total_latency;
+    if (spec.name == "Baseline") decode_base = latency;
     table.begin_row()
         .add_cell("Decode")
-        .add_cell(config.label())
+        .add_cell(spec.name)
         .add_cell(latency, 3)
         .add_cell(util::format_speedup(decode_base / latency));
   }

@@ -61,7 +61,7 @@ int main() {
     for (std::size_t i = 0; i < combined.size(); ++i)
       combined[i] += static_cast<float>(weight) * partial[i];
     table.begin_row()
-        .add_cell("E" + std::to_string(task.expert.expert))
+        .add_cell(std::string("E").append(std::to_string(task.expert.expert)))
         .add_cell(task.device == sched::kCpuDevice ? "CPU" : "GPU")
         .add_cell(weight, 3)
         .add_cell(kernels::l2_norm(partial), 3);

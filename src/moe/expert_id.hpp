@@ -32,7 +32,11 @@ struct ExpertId {
   }
 
   [[nodiscard]] std::string to_string() const {
-    return "L" + std::to_string(layer) + "/E" + std::to_string(expert);
+    std::string s = "L";
+    s += std::to_string(layer);
+    s += "/E";
+    s += std::to_string(expert);
+    return s;
   }
 };
 

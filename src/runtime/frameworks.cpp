@@ -101,42 +101,40 @@ StackSpec preset_spec(std::string_view name) {
   return preset_spec(framework_from_name(name));
 }
 
-StackSpec ablation_spec(const core::HybriMoeConfig& config) {
-  StackSpec spec;
-  spec.name = config.label();
-  // Fixed baseline-level dispatch overhead across all ablation variants: the
-  // ablation isolates the three techniques, not the C++ reimplementation.
-  spec.overhead_us = kKTransOverheadUs;
-
-  spec.scheduler.policy = config.hybrid_scheduling ? "hybrid" : "fixed-map";
-
-  if (config.score_aware_caching) {
-    spec.cache.policy = "mrs";
-    spec.cache.alpha = config.mrs.alpha;
-    spec.cache.top_p_factor = config.mrs.top_p_factor;
-    // dynamic_cache_inserts / update_policy_scores / cache_maintenance stay
-    // at their defaults (all on) — the §IV-D dynamic caching technique.
-  } else {
-    spec.cache.policy = "lfu";
-    // Without the caching technique the placement is static — except that
-    // scheduling/prefetching variants still admit their own transfers,
-    // mirroring how the ablation is stacked on the kTransformers baseline.
-    spec.dynamic_cache_inserts = config.hybrid_scheduling || config.impact_prefetching;
-    spec.update_policy_scores = false;
-    spec.cache_maintenance = false;
-    spec.warmup = spec.dynamic_cache_inserts ? WarmupSeeding::Seeded
-                                             : WarmupSeeding::Pinned;
+std::vector<StackSpec> ablation_specs() {
+  struct Variant {
+    const char* name;
+    bool scheduling, prefetching, caching;
+  };
+  constexpr Variant kVariants[] = {
+      {"Baseline", false, false, false},
+      {"Baseline+Scheduling", true, false, false},
+      {"Baseline+Prefetching", false, true, false},
+      {"Baseline+Caching", false, false, true},
+      {"All", true, true, true},
+  };
+  std::vector<StackSpec> specs;
+  for (const Variant& v : kVariants) {
+    // Every variant keeps the baseline's dispatch overhead: the ablation
+    // isolates the three techniques, not the C++ reimplementation.
+    StackSpec spec = preset_spec(Framework::KTransformers);
+    spec.name = v.name;
+    if (v.scheduling) spec.scheduler.policy = "hybrid";
+    if (v.prefetching) spec.prefetch.policy = "impact";
+    if (v.caching) {
+      spec.cache.policy = "mrs";
+      spec.update_policy_scores = true;
+      spec.cache_maintenance = true;
+    }
+    if (v.scheduling || v.prefetching || v.caching) {
+      // Any technique admits its own transfers, so the warmup placement
+      // becomes evictable instead of pinned.
+      spec.dynamic_cache_inserts = true;
+      spec.warmup = WarmupSeeding::Seeded;
+    }
+    specs.push_back(std::move(spec));
   }
-
-  if (config.impact_prefetching) {
-    spec.prefetch.policy = "impact";
-    spec.prefetch.depth = config.prefetch.depth;
-    spec.prefetch.confidence_decay = config.prefetch.confidence_decay;
-    spec.prefetch.max_per_layer = config.prefetch.max_per_layer;
-  } else {
-    spec.prefetch.policy = "none";
-  }
-  return spec;
+  return specs;
 }
 
 hw::Topology resolve_topology(const TopologySpec& spec) {

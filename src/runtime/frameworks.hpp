@@ -14,9 +14,10 @@
 ///  * OnDemand       — pure on-demand GPU loading (Fig. 1(a) reference).
 ///
 /// These are *presets*: preset_spec(f) returns the declarative StackSpec
-/// (stack_spec.hpp), ablation_spec(config) the Table III variant, and every
+/// (stack_spec.hpp). The Table III variants (ablation_specs()) are the
+/// kTransformers preset with HybriMoE's techniques switched on, and every
 /// engine — preset, ablation variant or arbitrary off-preset cross-product —
-/// is assembled by make_engine(StackSpec).
+/// is assembled by make_engine(StackSpec), the one assembly path.
 
 #include <array>
 #include <iosfwd>
@@ -24,13 +25,13 @@
 #include <string_view>
 #include <vector>
 
-#include "core/ablation.hpp"
 #include "runtime/engine.hpp"
 #include "runtime/stack_spec.hpp"
 #include "util/assert.hpp"
 
 namespace hybrimoe::runtime {
 
+/// A framework preset: the typed key of preset_spec and the preset registry.
 enum class Framework : std::uint8_t {
   LlamaCpp,
   AdapMoE,
@@ -104,10 +105,13 @@ struct EngineBuildInfo {
 /// \brief preset_spec by name (framework_from_name rules).
 [[nodiscard]] StackSpec preset_spec(std::string_view name);
 
-/// \brief The Table III ablation variant as a spec: the kTransformers-style
-/// baseline plus any subset of HybriMoE's three techniques, expressed as
-/// mutations of the component keys.
-[[nodiscard]] StackSpec ablation_spec(const core::HybriMoeConfig& config);
+/// \brief The Table III ablation variants in the paper's row order:
+/// "Baseline", "Baseline+Scheduling", "Baseline+Prefetching",
+/// "Baseline+Caching", "All" — each the KTransformers preset renamed, with
+/// hybrid scheduling, impact prefetching and/or MRS caching switched on.
+/// Options stay unset (registry defaults); mutate a returned spec to sweep
+/// them.
+[[nodiscard]] std::vector<StackSpec> ablation_specs();
 
 /// \brief Resolve a TopologySpec against the topology registry: empty
 /// preset means the paper testbed (hw::Topology::a6000_xeon10()); a

@@ -53,8 +53,8 @@ std::unique_ptr<OffloadEngine> ExperimentHarness::build(const StackSpec& stack) 
   info.cache_ratio = spec_.cache_ratio;
   info.warmup_frequencies = warmup_frequencies_;
   info.seed = spec_.trace.seed;
-  info.execution_mode = spec_.execution_mode;
-  info.executor = spec_.executor;
+  info.execution_mode = execution_mode_;
+  info.executor = executor_;
   return make_engine(stack, costs_, info);
 }
 
@@ -62,8 +62,8 @@ void ExperimentHarness::set_execution(exec::ExecutionMode mode,
                                       std::shared_ptr<exec::HybridExecutor> executor) {
   HYBRIMOE_REQUIRE(mode == exec::ExecutionMode::Simulated || executor != nullptr,
                    "threaded execution requires an executor");
-  spec_.execution_mode = mode;
-  spec_.executor = std::move(executor);
+  execution_mode_ = mode;
+  executor_ = std::move(executor);
 }
 
 StageMetrics ExperimentHarness::run_prefill(const StackSpec& stack, std::size_t tokens) {

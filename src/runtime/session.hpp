@@ -38,17 +38,13 @@ struct ExperimentSpec {
   double cache_ratio = 0.25;
   workload::TraceGenParams trace;  ///< includes the seed
   std::size_t warmup_steps = 48;   ///< decode steps observed by the warmup
-  /// Execution backend for built engines (default: pure simulation). The
-  /// same traces serve both modes, so modeled-vs-measured comparisons are
-  /// apples-to-apples; see ExperimentHarness::set_execution.
-  exec::ExecutionMode execution_mode = exec::ExecutionMode::Simulated;
-  std::shared_ptr<exec::HybridExecutor> executor;
 };
 
 /// Builds the cost model, the shared traces and the warmup statistics once,
 /// then runs stacks against them. Every runner takes a StackSpec — a preset
-/// is preset_spec(f), a Table III variant ablation_spec(config) — so
+/// is preset_spec(f), a Table III variant one of ablation_specs() — so
 /// declarative stacks run under exactly the fairness rules of the presets.
+/// Engines run simulated unless set_execution picks another backend.
 class ExperimentHarness {
  public:
   /// Builds the cost model and the warmup statistics.
@@ -111,6 +107,11 @@ class ExperimentHarness {
 
  private:
   ExperimentSpec spec_;
+  /// Execution backend for built engines (set_execution). The same traces
+  /// serve every mode, so modeled-vs-measured comparisons are
+  /// apples-to-apples.
+  exec::ExecutionMode execution_mode_ = exec::ExecutionMode::Simulated;
+  std::shared_ptr<exec::HybridExecutor> executor_;
   hw::CostModel costs_;
   workload::TraceGenerator generator_;
   std::vector<std::vector<double>> warmup_frequencies_;

@@ -6,7 +6,8 @@
 /// prefetcher — plus the engine flags that differ between frameworks, and
 /// runtime::make_engine(spec, costs, info) assembles the stack through the
 /// per-family registries (stack_registry.hpp). The five Framework presets
-/// (frameworks.hpp) and the Table III ablation variants are plain specs, so
+/// and the Table III ablation variants (preset_spec and ablation_specs in
+/// frameworks.hpp) are plain specs — the one engine description — so
 /// the whole cross-product of schedulers x cache policies x prefetchers x
 /// execution modes is reachable without recompiling: benches take specs via
 /// --stacks, and tools/hybrimoe_run serves a request stream from a spec

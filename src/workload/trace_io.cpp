@@ -118,7 +118,7 @@ void write_header(std::ostream& os, const char* kind) {
 void read_header(std::istream& is, const std::string& kind) {
   expect_token(is, "HYBRIMOE-TRACE");
   const std::string version = expect_token(is, "");
-  if (version != "v" + std::to_string(kTraceFormatVersion))
+  if (version != std::string("v").append(std::to_string(kTraceFormatVersion)))
     malformed("unsupported version '" + version + "'");
   expect_token(is, kind);
 }

@@ -117,19 +117,17 @@ void print_engine_cases() {
                 *engine, metrics);
   }
 
-  core::HybriMoeConfig tweaked = core::HybriMoeConfig::full();
-  tweaked.mrs.alpha = 0.42;
+  // Case labels in ablation_specs() row order, then a tweaked "All".
+  const char* const labels[] = {"baseline", "scheduling_only", "prefetching_only",
+                                "caching_only", "full"};
+  const std::vector<runtime::StackSpec> ablations = runtime::ablation_specs();
+  for (std::size_t i = 0; i < std::size(labels); ++i)
+    fx.print_prefill_decode(std::string("ablation ") + labels[i], ablations.at(i));
+  runtime::StackSpec tweaked = ablations.back();
+  tweaked.cache.alpha = 0.42;
   tweaked.prefetch.depth = 2;
   tweaked.prefetch.max_per_layer = 4;
-  const std::vector<std::pair<std::string, core::HybriMoeConfig>> ablations{
-      {"baseline", core::HybriMoeConfig::baseline()},
-      {"scheduling_only", core::HybriMoeConfig::scheduling_only()},
-      {"prefetching_only", core::HybriMoeConfig::prefetching_only()},
-      {"caching_only", core::HybriMoeConfig::caching_only()},
-      {"full", core::HybriMoeConfig::full()},
-      {"tweaked", tweaked}};
-  for (const auto& [name, config] : ablations)
-    fx.print_prefill_decode("ablation " + name, runtime::ablation_spec(config));
+  fx.print_prefill_decode("ablation tweaked", tweaked);
 }
 
 workload::RequestStreamParams base_stream(double rate) {

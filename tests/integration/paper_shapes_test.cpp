@@ -109,14 +109,15 @@ TEST(PaperShapesTest, SpeedupShrinksAsCacheGrows) {
 
 TEST(PaperShapesTest, AblationOrderingDecode) {
   ExperimentHarness harness(spec_for(moe::ModelConfig::qwen2(), 0.25));
-  auto decode = [&harness](const core::HybriMoeConfig& config) {
-    return harness.run_decode(ablation_spec(config), 16).total_latency;
-  };
-  const double base = decode(core::HybriMoeConfig::baseline());
-  const double sched = decode(core::HybriMoeConfig::scheduling_only());
-  const double pref = decode(core::HybriMoeConfig::prefetching_only());
-  const double cach = decode(core::HybriMoeConfig::caching_only());
-  const double all = decode(core::HybriMoeConfig::full());
+  std::vector<double> latency;  // ablation_specs() row order
+  for (const StackSpec& spec : ablation_specs())
+    latency.push_back(harness.run_decode(spec, 16).total_latency);
+  ASSERT_EQ(latency.size(), 5U);
+  const double base = latency[0];
+  const double sched = latency[1];
+  const double pref = latency[2];
+  const double cach = latency[3];
+  const double all = latency[4];
 
   // Every technique helps; scheduling is the largest single win; the full
   // system is fastest (paper Table III).
@@ -130,12 +131,13 @@ TEST(PaperShapesTest, AblationOrderingDecode) {
 
 TEST(PaperShapesTest, AblationOrderingPrefill) {
   ExperimentHarness harness(spec_for(moe::ModelConfig::qwen2(), 0.25));
-  auto prefill = [&harness](const core::HybriMoeConfig& config) {
-    return harness.run_prefill(ablation_spec(config), 128).total_latency;
-  };
-  const double base = prefill(core::HybriMoeConfig::baseline());
-  const double sched = prefill(core::HybriMoeConfig::scheduling_only());
-  const double all = prefill(core::HybriMoeConfig::full());
+  std::vector<double> latency;  // ablation_specs() row order
+  for (const StackSpec& spec : ablation_specs())
+    latency.push_back(harness.run_prefill(spec, 128).total_latency);
+  ASSERT_EQ(latency.size(), 5U);
+  const double base = latency[0];
+  const double sched = latency[1];
+  const double all = latency[4];
   EXPECT_LT(sched, base);
   EXPECT_LE(all, base);
 }

@@ -74,11 +74,11 @@ TEST_F(FrameworksTest, LlamaCppHasNoCache) {
 }
 
 TEST_F(FrameworksTest, AblationLabels) {
-  EXPECT_EQ(core::HybriMoeConfig::baseline().label(), "Baseline");
-  EXPECT_EQ(core::HybriMoeConfig::scheduling_only().label(), "Baseline+Scheduling");
-  EXPECT_EQ(core::HybriMoeConfig::prefetching_only().label(), "Baseline+Prefetching");
-  EXPECT_EQ(core::HybriMoeConfig::caching_only().label(), "Baseline+Caching");
-  EXPECT_EQ(core::HybriMoeConfig::full().label(), "All");
+  std::vector<std::string> names;
+  for (const StackSpec& spec : ablation_specs()) names.push_back(spec.name);
+  EXPECT_EQ(names, (std::vector<std::string>{"Baseline", "Baseline+Scheduling",
+                                             "Baseline+Prefetching", "Baseline+Caching",
+                                             "All"}));
 }
 
 TEST_F(FrameworksTest, AblationEnginesBuildAndRun) {
@@ -86,32 +86,20 @@ TEST_F(FrameworksTest, AblationEnginesBuildAndRun) {
   params.seed = 82;
   workload::TraceGenerator gen(model_, params);
   const auto decode = gen.generate_decode(4);
-  for (const auto& config :
-       {core::HybriMoeConfig::baseline(), core::HybriMoeConfig::scheduling_only(),
-        core::HybriMoeConfig::prefetching_only(), core::HybriMoeConfig::caching_only(),
-        core::HybriMoeConfig::full()}) {
-    auto engine = make_engine(ablation_spec(config), costs_, info_);
+  for (const StackSpec& spec : ablation_specs()) {
+    auto engine = make_engine(spec, costs_, info_);
     ASSERT_NE(engine, nullptr);
-    EXPECT_EQ(engine->name(), config.label());
+    EXPECT_EQ(engine->name(), spec.name);
     EXPECT_GT(engine->run_decode(decode).total_latency, 0.0);
   }
 }
 
 TEST_F(FrameworksTest, BaselineAblationEqualsKTransformersPolicy) {
-  // The ablation baseline should behave like the kTransformers engine up to
-  // the per-layer overhead constant (the ablation pins overhead at the
-  // baseline level for every variant).
-  workload::TraceGenParams params;
-  params.seed = 83;
-  workload::TraceGenerator gen(model_, params);
-  const auto decode = gen.generate_decode(6);
-  auto ktrans = make_engine(preset_spec(Framework::KTransformers), costs_, info_);
-  auto baseline =
-      make_engine(ablation_spec(core::HybriMoeConfig::baseline()), costs_, info_);
-  const auto mk = ktrans->run_decode(decode);
-  const auto mb = baseline->run_decode(decode);
-  EXPECT_NEAR(mk.total_latency, mb.total_latency, 1e-9);
-  EXPECT_EQ(mk.cache.hits, mb.cache.hits);
+  // The ablation baseline is the kTransformers preset under another name.
+  StackSpec baseline = ablation_specs().front();
+  EXPECT_EQ(baseline.name, "Baseline");
+  baseline.name = to_string(Framework::KTransformers);
+  EXPECT_EQ(baseline, preset_spec(Framework::KTransformers));
 }
 
 TEST_F(FrameworksTest, EmptyWarmupFrequenciesHandled) {

@@ -59,10 +59,10 @@ TEST(SessionTest, RunsEveryFrameworkAndConfig) {
     EXPECT_GT(harness.run_prefill(preset_spec(fw), 8).ttft(), 0.0);
     EXPECT_GT(harness.run_decode(preset_spec(fw), 3).tbt_mean(), 0.0);
   }
-  const StackSpec full = ablation_spec(core::HybriMoeConfig::full());
-  const StackSpec baseline = ablation_spec(core::HybriMoeConfig::baseline());
-  EXPECT_GT(harness.run_decode(full, 3).tbt_mean(), 0.0);
-  EXPECT_GT(harness.run_prefill(baseline, 8).ttft(), 0.0);
+  for (const StackSpec& spec : ablation_specs()) {
+    EXPECT_GT(harness.run_prefill(spec, 8).ttft(), 0.0) << spec.name;
+    EXPECT_GT(harness.run_decode(spec, 3).tbt_mean(), 0.0) << spec.name;
+  }
 }
 
 TEST(SessionTest, FreshEnginePerRun) {

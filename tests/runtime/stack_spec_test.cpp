@@ -52,14 +52,8 @@ TEST(StackSpecTest, PresetSpecsRoundTripThroughJson) {
 }
 
 TEST(StackSpecTest, AblationSpecsRoundTripThroughJson) {
-  for (const auto& config :
-       {core::HybriMoeConfig::baseline(), core::HybriMoeConfig::scheduling_only(),
-        core::HybriMoeConfig::prefetching_only(), core::HybriMoeConfig::caching_only(),
-        core::HybriMoeConfig::full()}) {
-    const StackSpec spec = ablation_spec(config);
-    EXPECT_EQ(spec.name, config.label());
+  for (const StackSpec& spec : ablation_specs())
     EXPECT_EQ(parse_stack_spec(to_json(spec)), spec) << to_json(spec);
-  }
 }
 
 TEST(StackSpecTest, FullyLoadedSpecRoundTrips) {

@@ -22,7 +22,8 @@
 #    src/runtime/session.hpp, src/runtime/serve_engine.hpp,
 #    src/runtime/request.hpp — the cost queries, plan shape, engine,
 #    experiment runners and serving options every bench, example and tool is
-#    written against),
+#    written against; src/runtime/frameworks.hpp — the presets, the Table III
+#    variants and the one engine assembly path),
 #    the scheduler core (src/sched/simulator.hpp, src/sched/schedulers.hpp —
 #    the §IV-B simulation and the policies built from its option tables),
 #    and the SIMD dispatch header (src/kernels/simd.hpp — its
@@ -43,7 +44,7 @@ fail=0
 # ---------------------------------------------------------------------------
 # 1. Doc-comment coverage.
 # ---------------------------------------------------------------------------
-doc_headers="src/core/prefetcher.hpp src/exec/*.hpp src/scenario/*.hpp src/serve_sim/*.hpp src/trace/*.hpp src/hw/topology.hpp src/hw/cost_model.hpp src/hw/calibration.hpp src/core/warmup.hpp src/sched/device.hpp src/sched/plan.hpp src/sched/simulator.hpp src/sched/schedulers.hpp src/runtime/engine.hpp src/runtime/session.hpp src/runtime/serve_engine.hpp src/runtime/request.hpp src/kernels/simd.hpp"
+doc_headers="src/core/prefetcher.hpp src/exec/*.hpp src/scenario/*.hpp src/serve_sim/*.hpp src/trace/*.hpp src/hw/topology.hpp src/hw/cost_model.hpp src/hw/calibration.hpp src/core/warmup.hpp src/sched/device.hpp src/sched/plan.hpp src/sched/simulator.hpp src/sched/schedulers.hpp src/runtime/engine.hpp src/runtime/session.hpp src/runtime/serve_engine.hpp src/runtime/request.hpp src/runtime/frameworks.hpp src/kernels/simd.hpp"
 for header in $doc_headers; do
   out=$(awk '
     # Track public sections inside class bodies (structs default public).
@@ -53,7 +54,8 @@ for header in $doc_headers; do
     /^(class|struct) /       { access = "public" }
     # A declaration line: class/struct/enum at col 0, or a function-ish line
     # (ends in "(" args..., contains "(") at col 0 or 2, that is not a macro,
-    # comment, control keyword, or continuation.
+    # comment, control keyword, continuation, static_assert or upper-case
+    # macro call.
     {
       line = $0
       is_decl = 0
@@ -61,6 +63,7 @@ for header in $doc_headers; do
       else if (line ~ /^ ? ?(\[\[nodiscard\]\] |inline |constexpr |static |explicit |virtual |friend )*[A-Za-z_:<>,&* ]*[A-Za-z_]+ *\(/ \
                && line !~ /^ *(if|for|while|switch|return)[ (]/ \
                && line !~ /^ *\/\// && line !~ /^#/ && line !~ /^   / \
+               && line !~ /^ *static_assert\(/ && line !~ /^ *[A-Z][A-Z0-9_]*\(/ \
                && line !~ /^ *}/ && line !~ /^ *:/ && line !~ /=.*;$/) is_decl = 2
       if (is_decl == 2 && access == "private") is_decl = 0
       # Deleted/defaulted special members and operators need no docs.
