@@ -1,6 +1,6 @@
 /// \file ablation_design.cpp
-/// Design-choice ablations beyond the paper's Table III — the knobs
-/// DESIGN.md calls out:
+/// Design-choice ablations beyond the paper's Table III — the knobs the
+/// paper fixes that this bench sweeps:
 ///   1. MRS parameter sensitivity: EMA coefficient alpha and the TopP factor
 ///      (the paper fixes p = 2*top_k; we sweep it);
 ///   2. prefetch lookahead depth 0..4 (the paper uses 3);
@@ -57,7 +57,7 @@ int main() {
 
   // ------------------------------------------------------------- (1) MRS
   print_header("MRS parameter sensitivity (DeepSeek @ 25%, replay hit rate %)",
-               "DESIGN.md ablation 1 / paper Eq. 3 defaults");
+               "design ablation 1 / paper Eq. 3 defaults");
   {
     workload::TraceGenParams params;
     params.seed = kBenchSeed;
@@ -83,7 +83,7 @@ int main() {
 
   // -------------------------------------------------- (2) prefetch depth
   print_header("Prefetch lookahead depth (DeepSeek @ 25%, decode TBT)",
-               "DESIGN.md ablation 2 / paper uses depth 3");
+               "design ablation 2 / paper uses depth 3");
   {
     util::TextTable table("decode TBT by lookahead depth");
     table.set_headers({"depth", "TBT", "hit rate", "prefetches", "speedup vs depth 0"});
@@ -112,7 +112,7 @@ int main() {
 
   // ------------------------------------------------------ (3) policy zoo
   print_header("Replacement-policy zoo (DeepSeek @ 25%, replay hit rate %)",
-               "DESIGN.md ablation 3");
+               "design ablation 3");
   {
     workload::TraceGenParams params;
     params.seed = kBenchSeed ^ 0xF00D;
@@ -161,7 +161,7 @@ int main() {
 
   // ------------------------------- (4) beneficial-transfer check on/off
   print_header("Beneficial-transfer simulation vs naive PCIe priority",
-               "DESIGN.md ablation 4 / §IV-B simulation phase");
+               "design ablation 4 / §IV-B simulation phase");
   {
     util::TextTable table("decode TBT with and without the simulated commit check");
     table.set_headers({"model", "naive transfers", "simulated check", "gain"});
@@ -190,7 +190,7 @@ int main() {
 
   // -------------------------------------- (5) greedy vs exact optimum
   print_header("Greedy scheduling optimality gap (decode layers, real cost model)",
-               "DESIGN.md ablation 5 / §III Opportunity 2");
+               "design ablation 5 / §III Opportunity 2");
   {
     util::TextTable table("greedy makespan / exact optimum, per model");
     table.set_headers({"model", "layers sampled", "mean gap", "p95 gap", "max gap"});
