@@ -15,6 +15,7 @@
 #include "bench_common.hpp"
 #include "cache/classic_policies.hpp"
 #include "cache/mrs_policy.hpp"
+#include "core/warmup.hpp"
 #include "runtime/stack_registry.hpp"
 #include "sched/optimal.hpp"
 
@@ -32,21 +33,6 @@ const runtime::SchedulerRegistrar kHybridUnchecked{
       options.transfer_only_if_beneficial = false;
       return std::make_unique<sched::SimScheduler>(sched::SimScheduler::hybrid(options));
     }};
-
-double replay_hit_rate(const workload::DecodeTrace& trace, const moe::ModelConfig& model,
-                       cache::ExpertCache& cache, bool feed_scores) {
-  for (const auto& step : trace.steps) {
-    for (std::size_t l = 0; l < step.layers.size(); ++l) {
-      const auto layer = static_cast<std::uint16_t>(l);
-      if (feed_scores) cache.update_scores(layer, step.layers[l].scores, model.top_k);
-      for (const auto e : step.layers[l].activated()) {
-        const moe::ExpertId id{layer, static_cast<std::uint16_t>(e)};
-        if (!cache.lookup(id)) (void)cache.insert(id);
-      }
-    }
-  }
-  return cache.stats().hit_rate();
-}
 
 }  // namespace
 
@@ -75,7 +61,7 @@ int main() {
         p.top_p_factor = factor;
         cache::ExpertCache cache(capacity, std::make_unique<cache::MrsPolicy>(p));
         table.add_cell(util::format_double(
-            replay_hit_rate(trace, model, cache, true) * 100.0, 1));
+            core::replay_hit_rate(trace, model, cache, true) * 100.0, 1));
       }
     }
     table.print(std::cout);
@@ -146,7 +132,7 @@ int main() {
     std::vector<std::pair<std::string, double>> results;
     for (auto& row : rows) {
       cache::ExpertCache cache(capacity, std::move(row.policy));
-      const double rate = replay_hit_rate(trace, model, cache, row.scores);
+      const double rate = core::replay_hit_rate(trace, model, cache, row.scores);
       if (row.name == "Belady") belady = rate;
       results.emplace_back(row.name, rate);
     }

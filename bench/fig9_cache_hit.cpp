@@ -15,27 +15,9 @@
 #include "bench_common.hpp"
 #include "cache/classic_policies.hpp"
 #include "cache/mrs_policy.hpp"
-
-namespace {
+#include "core/warmup.hpp"
 
 using namespace hybrimoe;
-
-double replay_hit_rate(const workload::DecodeTrace& trace, const moe::ModelConfig& model,
-                       cache::ExpertCache& cache, bool feed_scores) {
-  for (const auto& step : trace.steps) {
-    for (std::size_t l = 0; l < step.layers.size(); ++l) {
-      const auto layer = static_cast<std::uint16_t>(l);
-      if (feed_scores) cache.update_scores(layer, step.layers[l].scores, model.top_k);
-      for (const auto e : step.layers[l].activated()) {
-        const moe::ExpertId id{layer, static_cast<std::uint16_t>(e)};
-        if (!cache.lookup(id)) (void)cache.insert(id);
-      }
-    }
-  }
-  return cache.stats().hit_rate();
-}
-
-}  // namespace
 
 int main() {
   using namespace hybrimoe::bench;
@@ -67,7 +49,7 @@ int main() {
           policy = std::make_unique<cache::LruPolicy>();
         }
         cache::ExpertCache cache(capacity, std::move(policy));
-        const double rate = replay_hit_rate(trace, model, cache, use_mrs);
+        const double rate = core::replay_hit_rate(trace, model, cache, use_mrs);
         table.add_cell(util::format_double(rate * 100.0, 1));
       }
     }

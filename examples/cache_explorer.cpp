@@ -11,6 +11,7 @@
 #include "cache/classic_policies.hpp"
 #include "cache/expert_cache.hpp"
 #include "cache/mrs_policy.hpp"
+#include "core/warmup.hpp"
 #include "util/table.hpp"
 #include "workload/generator.hpp"
 
@@ -33,21 +34,6 @@ struct Replay {
     return r;
   }
 };
-
-double replay_hit_rate(const workload::DecodeTrace& trace, const moe::ModelConfig& model,
-                       cache::ExpertCache& cache, bool feed_scores) {
-  for (const auto& step : trace.steps) {
-    for (std::size_t l = 0; l < step.layers.size(); ++l) {
-      const auto layer = static_cast<std::uint16_t>(l);
-      if (feed_scores) cache.update_scores(layer, step.layers[l].scores, model.top_k);
-      for (const auto e : step.layers[l].activated()) {
-        const moe::ExpertId id{layer, static_cast<std::uint16_t>(e)};
-        if (!cache.lookup(id)) (void)cache.insert(id);  // miss -> load & admit
-      }
-    }
-  }
-  return cache.stats().hit_rate();
-}
 
 }  // namespace
 
@@ -83,7 +69,7 @@ int main() {
                                std::to_string(capacity) + ")");
     for (const auto& [name, make_policy] : policies) {
       cache::ExpertCache cache(capacity, make_policy());
-      const double rate = replay_hit_rate(trace, model, cache, name == "MRS");
+      const double rate = core::replay_hit_rate(trace, model, cache, name == "MRS");
       table.add_cell(util::format_double(rate * 100.0, 1));
     }
   }

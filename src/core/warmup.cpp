@@ -24,4 +24,19 @@ std::vector<moe::ExpertId> hottest_experts(
   return out;
 }
 
+double replay_hit_rate(const workload::DecodeTrace& trace, const moe::ModelConfig& model,
+                       cache::ExpertCache& cache, bool feed_scores) {
+  for (const auto& step : trace.steps) {
+    for (std::size_t l = 0; l < step.layers.size(); ++l) {
+      const auto layer = static_cast<std::uint16_t>(l);
+      if (feed_scores) cache.update_scores(layer, step.layers[l].scores, model.top_k);
+      for (const auto e : step.layers[l].activated()) {
+        const moe::ExpertId id{layer, static_cast<std::uint16_t>(e)};
+        if (!cache.lookup(id)) (void)cache.insert(id);  // miss: load and admit
+      }
+    }
+  }
+  return cache.stats().hit_rate();
+}
+
 }  // namespace hybrimoe::core

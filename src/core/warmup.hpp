@@ -6,11 +6,16 @@
 /// (ii) observes expert activation statistics (the experiment harness counts
 /// them over an independent warmup trace). The frequencies seed the cache
 /// and, for the kTransformers baseline, the static pinning chosen here.
+/// replay_hit_rate is the cache-only replay that measures a policy against
+/// such a trace (the paper's Fig. 9 methodology).
 
 #include <cstddef>
 #include <vector>
 
+#include "cache/expert_cache.hpp"
 #include "moe/expert_id.hpp"
+#include "moe/model_config.hpp"
+#include "workload/trace.hpp"
 
 namespace hybrimoe::core {
 
@@ -19,5 +24,14 @@ namespace hybrimoe::core {
 /// separately by the engine. Ties break toward lower ids (deterministic).
 [[nodiscard]] std::vector<moe::ExpertId> hottest_experts(
     const std::vector<std::vector<double>>& frequencies, std::size_t count);
+
+/// Replay `trace` through `cache` as Fig. 9 measures it: every activated
+/// expert is looked up, a miss is loaded and admitted, and the cache's policy
+/// picks the evictions. With `feed_scores`, each layer's router scores reach
+/// the cache before its lookups (score-aware policies such as MRS). No
+/// scheduling takes part. Returns the cache's cumulative hit rate.
+[[nodiscard]] double replay_hit_rate(const workload::DecodeTrace& trace,
+                                     const moe::ModelConfig& model, cache::ExpertCache& cache,
+                                     bool feed_scores);
 
 }  // namespace hybrimoe::core

@@ -4,6 +4,7 @@
 
 #include "cache/classic_policies.hpp"
 #include "cache/mrs_policy.hpp"
+#include "core/warmup.hpp"
 #include "runtime/session.hpp"
 #include "workload/request_stream.hpp"
 
@@ -23,21 +24,6 @@ ExperimentSpec spec_for(const moe::ModelConfig& model, double ratio) {
   spec.trace.seed = 20250408;
   spec.warmup_steps = 32;
   return spec;
-}
-
-double replay_hit_rate(const workload::DecodeTrace& trace, const moe::ModelConfig& model,
-                       cache::ExpertCache& cache, bool feed_scores) {
-  for (const auto& step : trace.steps) {
-    for (std::size_t l = 0; l < step.layers.size(); ++l) {
-      const auto layer = static_cast<std::uint16_t>(l);
-      if (feed_scores) cache.update_scores(layer, step.layers[l].scores, model.top_k);
-      for (const auto e : step.layers[l].activated()) {
-        const moe::ExpertId id{layer, static_cast<std::uint16_t>(e)};
-        if (!cache.lookup(id)) (void)cache.insert(id);
-      }
-    }
-  }
-  return cache.stats().hit_rate();
 }
 
 // --- Fig. 7 / Fig. 8 headline orderings ----------------------------------
@@ -160,7 +146,7 @@ TEST(PaperShapesTest, MrsBeatsLruEverywhereGapNarrowsWithCapacity) {
         policy = std::make_unique<cache::LruPolicy>();
       }
       cache::ExpertCache cache(capacity, std::move(policy));
-      return replay_hit_rate(trace, model, cache, mrs);
+      return core::replay_hit_rate(trace, model, cache, mrs);
     };
 
     const double gap_low = hit_rate(0.25, true) - hit_rate(0.25, false);
@@ -181,7 +167,7 @@ TEST(PaperShapesTest, HitRatesInPaperBand) {
   const auto trace = gen.generate_decode(160);
   const std::size_t capacity = cache::ExpertCache::capacity_for_ratio(model, 0.25);
   cache::ExpertCache lru(capacity, std::make_unique<cache::LruPolicy>());
-  const double lru_rate = replay_hit_rate(trace, model, lru, false);
+  const double lru_rate = core::replay_hit_rate(trace, model, lru, false);
   EXPECT_GT(lru_rate, 0.30);
   EXPECT_LT(lru_rate, 0.60);
 }
