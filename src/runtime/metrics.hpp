@@ -49,7 +49,7 @@ struct StageMetrics {
   double measured_latency = 0.0;
   /// Chained FNV-1a digest of every layer output produced by the execution
   /// backend (0 when no executor is attached). Bitwise-equal digests across
-  /// execution modes, worker counts and frameworks certify that scheduling
+  /// execution modes, fresh executors and frameworks certify that scheduling
   /// only moves computation — it never changes the result.
   std::uint64_t exec_digest = 0;
 

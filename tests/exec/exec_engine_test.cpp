@@ -58,7 +58,7 @@ StageMetrics run_decode(ExperimentHarness& harness, Framework framework,
   return harness.run_decode(preset_spec(framework), kDecodeSteps);
 }
 
-TEST(ExecEngine, ThreadedDigestMatchesSimulatedAtEveryWorkerCount) {
+TEST(ExecEngine, ThreadedDigestMatchesSimulatedAcrossFreshExecutors) {
   ExperimentHarness harness(tiny_spec());
   const auto reference =
       run_decode(harness, Framework::HybriMoE, exec::ExecutionMode::Simulated);

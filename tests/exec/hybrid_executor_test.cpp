@@ -89,7 +89,7 @@ TEST(HybridExecutor, ThreadedOutputMatchesReferenceBitwise) {
   EXPECT_EQ(ref.measured, 0.0);
 }
 
-TEST(HybridExecutor, DigestIsIdenticalAtOneTwoAndEightWorkers) {
+TEST(HybridExecutor, DigestIsIdenticalAcrossFreshExecutors) {
   const auto costs = unit_costs();
   const auto demands = mixed_demands();
   // Three fresh executors: thread timing across runs must not reach the

@@ -95,7 +95,7 @@ TEST(MultiDeviceExecutor, ThreadedMatchesReferenceOnTwoDevicePlans) {
   EXPECT_EQ(ref.output, real.output);  // bitwise across lanes
 }
 
-TEST(MultiDeviceExecutor, DigestsAreWorkerCountInvariantOnFourDevices) {
+TEST(MultiDeviceExecutor, DigestsAgreeAcrossFreshExecutorsOnFourDevices) {
   const auto costs = multi_costs(4);
   const auto demands = lane_demands(4);
   const auto plan = sched::simulate_layer(0, Stage::Decode, demands, costs);
