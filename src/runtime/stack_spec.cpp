@@ -10,6 +10,7 @@
 #include "runtime/stack_registry.hpp"
 #include "util/assert.hpp"
 #include "util/json.hpp"
+#include "util/json_writer.hpp"
 #include "util/registry.hpp"
 
 namespace hybrimoe::runtime {
@@ -25,8 +26,7 @@ using util::json::as_bool;
 using util::json::as_count;
 using util::json::as_number;
 using util::json::as_string;
-using util::json::format_number;
-using util::json::FieldWriter;
+using Inline = util::JsonWriter::Inline;
 
 [[noreturn]] void spec_error(std::size_t offset, const std::string& message) {
   util::json::error("stack spec", offset, message);
@@ -144,15 +144,7 @@ exec::ExecutionMode exec_from_name(const JsonValue& v) {
   spec_error(v.offset, util::unknown_name_message("execution mode", name, kModes));
 }
 
-// ---------------------------------------------------------------------------
-// Serialisation.
-// ---------------------------------------------------------------------------
-
-std::string quote(std::string_view s) { return json_quote(s); }
-
 }  // namespace
-
-std::string json_quote(std::string_view s) { return util::json::quote(s); }
 
 const char* to_string(WarmupSeeding w) {
   switch (w) {
@@ -299,72 +291,75 @@ StackSpec parse_stack_spec(std::string_view text) {
 
 std::string to_json(const StackSpec& spec) {
   std::ostringstream os;
-  os << "{";
-  FieldWriter w(os);
+  Inline w(os);
 
-  if (!spec.name.empty()) w.field("name") << quote(spec.name);
+  if (!spec.name.empty()) w.field("name").string(spec.name);
 
+  w.field("scheduler");
   if (spec.scheduler.gpu_fraction.has_value()) {
-    w.field("scheduler") << "{\"policy\": " << quote(spec.scheduler.policy)
-                         << ", \"gpu_fraction\": "
-                         << format_number(*spec.scheduler.gpu_fraction) << "}";
+    Inline(os)
+        .field("policy").string(spec.scheduler.policy)
+        .field("gpu_fraction").exact(*spec.scheduler.gpu_fraction)
+        .close();
   } else {
-    w.field("scheduler") << quote(spec.scheduler.policy);
+    w.string(spec.scheduler.policy);
   }
 
   const bool cache_policy_only = !spec.cache.ratio.has_value() &&
                                  !spec.cache.alpha.has_value() &&
                                  !spec.cache.top_p_factor.has_value();
+  w.field("cache");
   if (cache_policy_only) {
-    w.field("cache") << quote(spec.cache.policy);
+    w.string(spec.cache.policy);
   } else {
-    w.field("cache") << "{\"policy\": " << quote(spec.cache.policy);
-    if (spec.cache.ratio.has_value())
-      os << ", \"ratio\": " << format_number(*spec.cache.ratio);
-    if (spec.cache.alpha.has_value())
-      os << ", \"alpha\": " << format_number(*spec.cache.alpha);
+    Inline cache(os);
+    cache.field("policy").string(spec.cache.policy);
+    if (spec.cache.ratio.has_value()) cache.field("ratio").exact(*spec.cache.ratio);
+    if (spec.cache.alpha.has_value()) cache.field("alpha").exact(*spec.cache.alpha);
     if (spec.cache.top_p_factor.has_value())
-      os << ", \"top_p_factor\": " << *spec.cache.top_p_factor;
-    os << "}";
+      cache.field("top_p_factor").number(*spec.cache.top_p_factor);
+    cache.close();
   }
 
   const bool prefetch_policy_only = !spec.prefetch.depth.has_value() &&
                                     !spec.prefetch.confidence_decay.has_value() &&
                                     !spec.prefetch.max_per_layer.has_value();
+  w.field("prefetch");
   if (prefetch_policy_only) {
-    w.field("prefetch") << quote(spec.prefetch.policy);
+    w.string(spec.prefetch.policy);
   } else {
-    w.field("prefetch") << "{\"policy\": " << quote(spec.prefetch.policy);
-    if (spec.prefetch.depth.has_value()) os << ", \"depth\": " << *spec.prefetch.depth;
+    Inline prefetch(os);
+    prefetch.field("policy").string(spec.prefetch.policy);
+    if (spec.prefetch.depth.has_value()) prefetch.field("depth").number(*spec.prefetch.depth);
     if (spec.prefetch.confidence_decay.has_value())
-      os << ", \"confidence_decay\": " << format_number(*spec.prefetch.confidence_decay);
+      prefetch.field("confidence_decay").exact(*spec.prefetch.confidence_decay);
     if (spec.prefetch.max_per_layer.has_value())
-      os << ", \"max_per_layer\": " << *spec.prefetch.max_per_layer;
-    os << "}";
+      prefetch.field("max_per_layer").number(*spec.prefetch.max_per_layer);
+    prefetch.close();
   }
 
   if (!spec.topology.empty()) {
+    w.field("topology");
     if (spec.topology.devices.has_value()) {
-      w.field("topology") << "{\"preset\": " << quote(spec.topology.preset)
-                          << ", \"devices\": " << *spec.topology.devices << "}";
+      Inline(os)
+          .field("preset").string(spec.topology.preset)
+          .field("devices").number(*spec.topology.devices)
+          .close();
     } else {
-      w.field("topology") << quote(spec.topology.preset);
+      w.string(spec.topology.preset);
     }
   }
 
-  w.field("dynamic_inserts") << (spec.dynamic_cache_inserts ? "true" : "false");
-  w.field("update_scores") << (spec.update_policy_scores ? "true" : "false");
-  w.field("cache_maintenance") << (spec.cache_maintenance ? "true" : "false");
-  if (spec.overhead_us.has_value())
-    w.field("overhead_us") << format_number(*spec.overhead_us);
-  w.field("warmup") << quote(to_string(spec.warmup));
+  w.field("dynamic_inserts").boolean(spec.dynamic_cache_inserts);
+  w.field("update_scores").boolean(spec.update_policy_scores);
+  w.field("cache_maintenance").boolean(spec.cache_maintenance);
+  if (spec.overhead_us.has_value()) w.field("overhead_us").exact(*spec.overhead_us);
+  w.field("warmup").string(to_string(spec.warmup));
   if (spec.execution.has_value())
-    w.field("exec") << quote(exec::to_string(*spec.execution));
-  if (spec.scenario.has_value())
-    w.field("scenario") << scenario::to_json(*spec.scenario);
-  if (spec.kv.has_value()) w.field("kv") << serve_sim::to_json(*spec.kv);
-
-  os << "}";
+    w.field("exec").string(exec::to_string(*spec.execution));
+  if (spec.scenario.has_value()) w.field("scenario").raw(scenario::to_json(*spec.scenario));
+  if (spec.kv.has_value()) w.field("kv").raw(serve_sim::to_json(*spec.kv));
+  w.close();
   return os.str();
 }
 

@@ -175,9 +175,4 @@ struct StackSpec {
 /// \brief Canonical JSON form; parse_stack_spec(to_json(s)) == s.
 [[nodiscard]] std::string to_json(const StackSpec& spec);
 
-/// \brief Quote + escape a string for the spec's JSON subset ("\\" and
-/// "\""). Hand-written JSON emitters (bench/tool artifacts) must use this
-/// for any interpolated spec name.
-[[nodiscard]] std::string json_quote(std::string_view s);
-
 }  // namespace hybrimoe::runtime

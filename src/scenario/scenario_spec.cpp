@@ -8,6 +8,7 @@
 
 #include "util/assert.hpp"
 #include "util/json.hpp"
+#include "util/json_writer.hpp"
 
 namespace hybrimoe::scenario {
 
@@ -18,8 +19,6 @@ using JsonObject = util::json::Object;
 using util::json::as_count;
 using util::json::as_number;
 using util::json::as_string;
-using util::json::format_number;
-using util::json::FieldWriter;
 
 /// Every key the grammar accepts, sorted (for did-you-mean suggestions).
 const std::vector<std::string> kAllKeys{
@@ -185,33 +184,32 @@ ScenarioSpec scenario_from_json(const util::json::Value& document) {
 
 std::string to_json(const ScenarioSpec& spec) {
   std::ostringstream os;
-  os << "{";
-  FieldWriter w(os);
-  w.field("family") << util::json::quote(to_string(spec.family));
-  w.field("seed") << spec.seed;
+  util::JsonWriter::Inline w(os);
+  w.field("family").string(to_string(spec.family));
+  w.field("seed").number(spec.seed);
   switch (spec.family) {
     case Family::StragglerLink:
-      w.field("accel") << spec.accel;
-      w.field("start_step") << spec.start_step;
-      w.field("end_step") << spec.end_step;
-      w.field("bandwidth_scale") << format_number(spec.bandwidth_scale);
+      w.field("accel").number(spec.accel);
+      w.field("start_step").number(spec.start_step);
+      w.field("end_step").number(spec.end_step);
+      w.field("bandwidth_scale").exact(spec.bandwidth_scale);
       break;
     case Family::DeviceLoss:
-      w.field("accel") << spec.accel;
-      w.field("lose_step") << spec.lose_step;
-      w.field("recover_step") << spec.recover_step;
+      w.field("accel").number(spec.accel);
+      w.field("lose_step").number(spec.lose_step);
+      w.field("recover_step").number(spec.recover_step);
       break;
     case Family::CacheThrash:
-      w.field("start_step") << spec.start_step;
-      w.field("end_step") << spec.end_step;
-      w.field("stride") << spec.stride;
+      w.field("start_step").number(spec.start_step);
+      w.field("end_step").number(spec.end_step);
+      w.field("stride").number(spec.stride);
       break;
     case Family::OverloadStorm:
-      w.field("storm_time") << format_number(spec.storm_time);
-      w.field("storm_requests") << spec.storm_requests;
+      w.field("storm_time").exact(spec.storm_time);
+      w.field("storm_requests").number(spec.storm_requests);
       break;
   }
-  os << "}";
+  w.close();
   return os.str();
 }
 

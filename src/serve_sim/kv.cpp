@@ -8,6 +8,7 @@
 #include "moe/model_config.hpp"
 #include "util/assert.hpp"
 #include "util/json.hpp"
+#include "util/json_writer.hpp"
 #include "util/registry.hpp"
 
 namespace hybrimoe::serve_sim {
@@ -82,13 +83,11 @@ KvSpec parse_kv_spec(std::string_view text) {
 
 std::string to_json(const KvSpec& spec) {
   std::ostringstream os;
-  os << "{";
-  util::json::FieldWriter w(os);
-  w.field("budget_mb") << util::json::format_number(spec.budget_mb);
-  if (spec.bytes_per_token > 0.0)
-    w.field("bytes_per_token") << util::json::format_number(spec.bytes_per_token);
-  w.field("admission") << util::json::quote(to_string(spec.mode));
-  os << "}";
+  util::JsonWriter::Inline w(os);
+  w.field("budget_mb").exact(spec.budget_mb);
+  if (spec.bytes_per_token > 0.0) w.field("bytes_per_token").exact(spec.bytes_per_token);
+  w.field("admission").string(to_string(spec.mode));
+  w.close();
   return os.str();
 }
 

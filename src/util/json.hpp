@@ -9,9 +9,10 @@
 /// N: ...") instead of parsing loosely, and every Value remembers where it
 /// started so key-level errors point at the offending source text.
 ///
-/// The emission half (format_number, FieldWriter, quote) guarantees exact
-/// round trips: format_number prints the shortest decimal form that parses
-/// back to the same double, so parse(to_json(x)) == x for every valid spec.
+/// The emission half (format_number, quote; util::JsonWriter::Inline writes
+/// spec objects with them) guarantees exact round trips: format_number prints
+/// the shortest decimal form that parses back to the same double, so
+/// parse(to_json(x)) == x for every valid spec.
 
 #include <cmath>
 #include <cstdlib>
@@ -299,23 +300,5 @@ class Parser {
   }
   HYBRIMOE_ASSERT(false, "a double must round-trip at 17 significant digits");
 }
-
-/// Appends ", \"key\": " (first field omits the comma).
-class FieldWriter {
- public:
-  /// Bind the writer to the output stream (which outlives it).
-  explicit FieldWriter(std::ostringstream& os) : os_(os) {}
-  /// Start the next field and return the stream for its value.
-  std::ostringstream& field(const char* key) {
-    if (!first_) os_ << ", ";
-    first_ = false;
-    os_ << '"' << key << "\": ";
-    return os_;
-  }
-
- private:
-  std::ostringstream& os_;
-  bool first_ = true;
-};
 
 }  // namespace hybrimoe::util::json
