@@ -13,8 +13,17 @@
 #include "exec/pacing.hpp"
 #include "hw/calibration.hpp"
 #include "util/assert.hpp"
+#include "util/registry.hpp"
 
 namespace hybrimoe::exec {
+
+ExecutionMode execution_mode_from_name(std::string_view name) {
+  for (const auto mode :
+       {ExecutionMode::Simulated, ExecutionMode::Threaded, ExecutionMode::Performance})
+    if (name == to_string(mode)) return mode;
+  throw std::invalid_argument(util::unknown_name_message(
+      "execution mode", name, {"simulated", "threaded", "performance"}));
+}
 
 void ExecOptions::validate() const {
   HYBRIMOE_REQUIRE(workers == 1, "the CPU lane is one thread: workers must be 1");

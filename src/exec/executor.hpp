@@ -40,6 +40,7 @@
 #include <cstdint>
 #include <memory>
 #include <span>
+#include <string_view>
 #include <vector>
 
 #include "exec/copy_engine.hpp"
@@ -70,6 +71,10 @@ enum class ExecutionMode : std::uint8_t {
       return "simulated";
   }
 }
+
+/// The mode whose to_string is `name`. Throws std::invalid_argument naming
+/// the known modes otherwise.
+[[nodiscard]] ExecutionMode execution_mode_from_name(std::string_view name);
 
 /// Tuning knobs of the threaded backend.
 struct ExecOptions {

@@ -135,15 +135,6 @@ TopologySpec parse_topology(const JsonValue& v) {
   return out;
 }
 
-exec::ExecutionMode exec_from_name(const JsonValue& v) {
-  const std::string& name = as_string(v, "exec");
-  if (name == "simulated") return exec::ExecutionMode::Simulated;
-  if (name == "threaded") return exec::ExecutionMode::Threaded;
-  if (name == "performance") return exec::ExecutionMode::Performance;
-  static const std::vector<std::string> kModes{"simulated", "threaded", "performance"};
-  spec_error(v.offset, util::unknown_name_message("execution mode", name, kModes));
-}
-
 }  // namespace
 
 const char* to_string(WarmupSeeding w) {
@@ -262,13 +253,19 @@ StackSpec parse_stack_spec(std::string_view text) {
     } else if (key == "overhead_us") {
       spec.overhead_us = as_number(value, key);
     } else if (key == "warmup") {
+      const std::string& name = as_string(value, key);
       try {
-        spec.warmup = warmup_from_name(as_string(value, key));
+        spec.warmup = warmup_from_name(name);
       } catch (const std::invalid_argument& e) {
         spec_error(value.offset, e.what());
       }
     } else if (key == "exec") {
-      spec.execution = exec_from_name(value);
+      const std::string& name = as_string(value, key);
+      try {
+        spec.execution = exec::execution_mode_from_name(name);
+      } catch (const std::invalid_argument& e) {
+        spec_error(value.offset, e.what());
+      }
     } else if (key == "scenario") {
       if (value.is_string()) {
         try {

@@ -94,14 +94,6 @@ options:
   std::exit(2);
 }
 
-exec::ExecutionMode exec_mode_from_flag(const std::string& name) {
-  if (name == "simulated") return exec::ExecutionMode::Simulated;
-  if (name == "threaded") return exec::ExecutionMode::Threaded;
-  if (name == "performance") return exec::ExecutionMode::Performance;
-  throw std::invalid_argument(util::unknown_name_message(
-      "execution mode", name, {"simulated", "threaded", "performance"}));
-}
-
 moe::ModelConfig model_from_name(const std::string& name) {
   if (name == "deepseek") return moe::ModelConfig::deepseek();
   if (name == "qwen2") return moe::ModelConfig::qwen2();
@@ -310,7 +302,7 @@ int main(int argc, char** argv) {
     // --exec overrides the spec's "exec" entry. Threaded/Performance need a
     // real executor, which a declarative spec alone cannot carry — build one
     // here and attach it before the harness builds any engine.
-    if (!opts.exec.empty()) stack.execution = exec_mode_from_flag(opts.exec);
+    if (!opts.exec.empty()) stack.execution = exec::execution_mode_from_name(opts.exec);
     const exec::ExecutionMode exec_mode =
         stack.execution.value_or(exec::ExecutionMode::Simulated);
     if (exec_mode != exec::ExecutionMode::Simulated) {
