@@ -4,11 +4,12 @@
 /// The serial-lane primitive of the threaded execution backend: one
 /// dedicated thread servicing jobs strictly in submission order, exactly as
 /// the simulator models each resource as a single serially-occupied lane.
-/// The executor runs one per host link (transfer jobs: memcpy of an expert
-/// weight blob into the device staging buffer), one for the CPU expert lane
-/// and one per extra accelerator. Jobs are closures built by the executor —
-/// each performs the real work, paces itself to the scaled modeled
-/// duration, then publishes its completion to the task graph.
+/// The executor runs one per host link (copy jobs: memcpy of an expert
+/// weight blob into the device staging buffer) and one per off-thread
+/// compute lane — the CPU and each accelerator after the first (lane jobs:
+/// that device's expert tasks of one layer). Jobs are closures built by the
+/// executor — each performs the real work, paces itself to the scaled
+/// modeled duration, then publishes its completion to the task graph.
 ///
 /// Thread-safety: submit() and drain() may be called from any thread (the
 /// executor calls them from the engine thread). Jobs run on the lane thread

@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cmath>
 #include <cstring>
+#include <exception>
 #include <mutex>
 #include <numeric>
 #include <thread>
@@ -46,24 +47,34 @@ std::uint64_t hash_u64(std::uint64_t seed, std::uint64_t value) noexcept {
   return hash_bytes(seed, &value, sizeof(value));
 }
 
-/// Per-layer completion board shared (by shared_ptr) with every task the
-/// layer spawns, so lane/copy-thread closures never reference the engine
-/// thread's stack. `done[i]` publishes completion of plan task i's async
-/// prerequisite (transfer or CPU compute); the single mutex/cv pair is
-/// uncontended at the backend's millisecond pacing granularity.
-struct HybridExecutor::LayerBoard {
-  struct CpuTask {
-    std::size_t idx = 0;        ///< plan task index
-    moe::ExpertId id;
-    PaceClock::duration dur{};  ///< scaled modeled compute duration
-  };
+namespace {
 
+/// Run `work` and return what it threw instead of throwing it: a backend job
+/// publishes its completion even when its work fails, because a lane or the
+/// engine thread is blocked on it.
+template <class Work>
+std::exception_ptr capture(Work&& work) noexcept {
+  try {
+    work();
+  } catch (...) {
+    return std::current_exception();
+  }
+  return nullptr;
+}
+
+}  // namespace
+
+/// Per-layer completion board shared (by shared_ptr) with every job the
+/// layer spawns, so lane/copy-thread closures never reference the engine
+/// thread's stack. `done[i]` publishes that plan task i's transfer landed;
+/// the single mutex/cv pair is uncontended at the backend's millisecond
+/// pacing granularity.
+struct HybridExecutor::LayerBoard {
   std::mutex m;
   std::condition_variable cv;
-  std::vector<char> done;                 ///< per plan-task completion flag
-  std::size_t cpu_remaining = 0;
-  std::size_t lanes_remaining = 0;        ///< extra accelerator lanes in flight
-  std::vector<CpuTask> cpu;               ///< CPU lane, plan start order
+  std::vector<char> done;                 ///< per plan task: transfer landed
+  std::size_t lanes_remaining = 0;        ///< off-thread compute lanes in flight
+  std::exception_ptr error;               ///< first error an off-thread lane hit
   const sched::LayerPlan* plan = nullptr; ///< the plan being executed
   std::span<const float> input;           ///< layer input (stable in the store)
   std::vector<std::vector<float>> slots;  ///< per plan-task expert outputs
@@ -77,14 +88,12 @@ HybridExecutor::HybridExecutor(ExecOptions options)
 
 HybridExecutor::~HybridExecutor() = default;
 
-void HybridExecutor::ensure_started(std::size_t num_links, std::size_t num_lanes) {
-  if (!cpu_lane_) cpu_lane_ = std::make_unique<CopyEngine>();
+void HybridExecutor::ensure_started(std::size_t num_links) {
   while (copiers_.size() < num_links) {
     copy_scratch_.push_back(std::make_unique<std::vector<std::byte>>());
     copiers_.push_back(std::make_unique<CopyEngine>());
+    lanes_.push_back(std::make_unique<CopyEngine>());
   }
-  while (gpu_lanes_.size() < num_lanes)
-    gpu_lanes_.push_back(std::make_unique<CopyEngine>());
 }
 
 void HybridExecutor::begin_step(bool paced) {
@@ -102,17 +111,11 @@ StepResult HybridExecutor::end_step() {
   in_step_ = false;
   // Stragglers (prefetch/maintenance copies) drain outside the measurement,
   // mirroring the simulator's per-step per-link carry reset.
-  for (const auto& copier : copiers_) {
-    copier->drain();
-    copier->rethrow_pending_error();
-  }
-  for (const auto& lane : gpu_lanes_) {
-    lane->drain();
-    lane->rethrow_pending_error();
-  }
-  if (cpu_lane_) {
-    cpu_lane_->drain();
-    cpu_lane_->rethrow_pending_error();
+  for (const auto* engines : {&copiers_, &lanes_}) {
+    for (const auto& engine : *engines) {
+      engine->drain();
+      engine->rethrow_pending_error();
+    }
   }
   return step_;
 }
@@ -120,29 +123,16 @@ StepResult HybridExecutor::end_step() {
 void HybridExecutor::abort_step() noexcept {
   if (!in_step_) return;
   in_step_ = false;
-  // Quiesce: every dispatched task publishes its completion even on error
-  // (see run_cpu_task / the transfer jobs), so these waits terminate.
-  try {
-    if (cpu_lane_) cpu_lane_->drain();
-    for (const auto& lane : gpu_lanes_) lane->drain();
-    for (const auto& copier : copiers_) copier->drain();
-  } catch (...) {  // wait/drain do not throw in practice; stay noexcept
-  }
-  // Discard pending task errors — the abort cause is already propagating.
-  try {
-    if (cpu_lane_) cpu_lane_->rethrow_pending_error();
-  } catch (...) {
-  }
-  for (const auto& copier : copiers_) {
-    try {
-      copier->rethrow_pending_error();
-    } catch (...) {
-    }
-  }
-  for (const auto& lane : gpu_lanes_) {
-    try {
-      lane->rethrow_pending_error();
-    } catch (...) {
+  // Quiesce: every dispatched job publishes its completion even on error,
+  // so the drains terminate. Pending errors are discarded: the abort cause
+  // is already propagating.
+  for (const auto* engines : {&copiers_, &lanes_}) {
+    for (const auto& engine : *engines) {
+      try {
+        engine->drain();
+        engine->rethrow_pending_error();
+      } catch (...) {
+      }
     }
   }
   step_ = StepResult{};
@@ -168,26 +158,25 @@ void HybridExecutor::copy_blob(moe::ExpertId id, std::vector<std::byte>& scratch
   std::memcpy(scratch.data(), blob.data(), blob.size());
 }
 
-void HybridExecutor::run_cpu_task(LayerBoard& board, std::size_t pos) {
-  const LayerBoard::CpuTask& task = board.cpu[pos];
-  const auto t0 = PaceClock::now();
-  // Completion must be published even if the kernel throws — the engine
-  // thread is (or will be) blocked on cpu_remaining, and the error is
-  // surfaced via the CPU lane's rethrow_pending_error at the layer barrier.
-  std::exception_ptr error;
-  try {
-    board.slots[task.idx] = store_.forward(task.id, board.input);
-  } catch (...) {
-    error = std::current_exception();
-  }
-  if (paced_) sleep_until_paced(t0 + task.dur);
-  {
-    std::lock_guard lock(board.m);
-    board.done[task.idx] = 1;
-    --board.cpu_remaining;
-    board.cv.notify_all();
-  }
-  if (error) std::rethrow_exception(error);  // recorded by the lane's loop
+void HybridExecutor::submit_copy(std::size_t link, moe::ExpertId id, double seconds,
+                                 std::shared_ptr<LayerBoard> board, std::size_t idx) {
+  // The scratch pointer is resolved here, on the engine thread: the copier
+  // thread must never index copy_scratch_ itself — a later ensure_started
+  // (higher device count) may reallocate the outer vector while copies are
+  // still in flight. The pointee is stable.
+  copiers_[link]->submit([this, id, board = std::move(board), idx,
+                          dur = scaled_duration(seconds, options_.time_scale),
+                          scratch = copy_scratch_[link].get()] {
+    const auto t0 = PaceClock::now();
+    const auto error = capture([&] { copy_blob(id, *scratch); });
+    if (paced_) sleep_until_paced(t0 + dur);
+    if (board) {
+      std::lock_guard lock(board->m);
+      board->done[idx] = 1;
+      board->cv.notify_all();
+    }
+    if (error) std::rethrow_exception(error);  // recorded by the copier
+  });
 }
 
 std::vector<float> HybridExecutor::combine_and_digest(
@@ -228,14 +217,11 @@ LayerResult HybridExecutor::execute_layer_reference(const sched::LayerPlan& plan
   return result;
 }
 
-void HybridExecutor::run_gpu_lane(LayerBoard& board, std::span<const std::size_t> order,
-                                  double dense_seconds) {
+void HybridExecutor::run_lane(LayerBoard& board, std::span<const std::size_t> order,
+                              double head_seconds) {
   const auto& tasks = board.plan->tasks;
   const double scale = options_.time_scale;
-  if (paced_) {
-    const auto t0 = PaceClock::now();
-    sleep_until_paced(t0 + scaled_duration(dense_seconds, scale));
-  }
+  if (paced_) sleep_until_paced(PaceClock::now() + scaled_duration(head_seconds, scale));
   for (const std::size_t i : order) {
     if (tasks[i].transferred) {
       std::unique_lock lock(board.m);
@@ -258,7 +244,7 @@ LayerResult HybridExecutor::execute_layer(const sched::LayerPlan& plan, double o
     HYBRIMOE_REQUIRE(c.seconds >= 0.0, "copy duration must be non-negative");
     num_links = std::max(num_links, c.link + 1);
   }
-  ensure_started(num_links, num_links - 1);
+  ensure_started(num_links);
   if (!slack_reduced_) {
     reduce_timer_slack();
     slack_reduced_ = true;
@@ -276,11 +262,6 @@ LayerResult HybridExecutor::execute_layer(const sched::LayerPlan& plan, double o
   board->slots.resize(tasks.size());
   board->plan = &plan;
   board->input = store_.layer_input(plan.layer);
-  for (const std::size_t i : plan.device_order(sched::kCpuDevice))
-    board->cpu.push_back({i, tasks[i].expert,
-                          scaled_duration(tasks[i].end - tasks[i].start, scale)});
-  board->cpu_remaining = board->cpu.size();
-  const auto gpu_order = plan.device_order(sched::kGpuDevice);
 
   const auto layer_start = PaceClock::now();
 
@@ -294,95 +275,43 @@ LayerResult HybridExecutor::execute_layer(const sched::LayerPlan& plan, double o
   // then the engine's speculative uploads routed to it. FIFO on each copy
   // thread reproduces the modeled serially-occupied links, including carry
   // into later layers.
-  for (std::size_t link = 0; link < num_links; ++link) {
-    for (const std::size_t i :
-         plan.transfer_order(sched::accelerator_device(link))) {
-      const auto dur =
-          scaled_duration(tasks[i].transfer_end - tasks[i].transfer_start, scale);
-      // The scratch pointer is resolved here, on the engine thread: the
-      // copier thread must never index copy_scratch_ itself — a later
-      // ensure_started (higher device count) may reallocate the outer
-      // vector while copies are still in flight. The pointee is stable.
-      copiers_[link]->submit(
-          [this, board, idx = i, id = tasks[i].expert, dur,
-           scratch = copy_scratch_[link].get()] {
-            const auto t0 = PaceClock::now();
-            // Publish completion even if the copy throws — a GPU lane blocks
-            // on done[idx]; the error surfaces via rethrow_pending_error at
-            // step end.
-            std::exception_ptr error;
-            try {
-              copy_blob(id, *scratch);
-            } catch (...) {
-              error = std::current_exception();
-            }
-            if (paced_) sleep_until_paced(t0 + dur);
-            {
-              std::lock_guard lock(board->m);
-              board->done[idx] = 1;
-              board->cv.notify_all();
-            }
-            if (error) std::rethrow_exception(error);  // recorded by the loop
-          });
-    }
-  }
-  for (const AsyncCopy& c : async_copies) {
-    const auto dur = scaled_duration(c.seconds, scale);
-    copiers_[c.link]->submit(
-        [this, id = c.id, dur, scratch = copy_scratch_[c.link].get()] {
-          const auto t0 = PaceClock::now();
-          copy_blob(id, *scratch);
-          if (paced_) sleep_until_paced(t0 + dur);
-        });
-  }
+  for (std::size_t link = 0; link < num_links; ++link)
+    for (const std::size_t i : plan.transfer_order(sched::accelerator_device(link)))
+      submit_copy(link, tasks[i].expert, tasks[i].transfer_end - tasks[i].transfer_start,
+                  board, i);
+  for (const AsyncCopy& c : async_copies) submit_copy(c.link, c.id, c.seconds);
 
-  // ---- CPU lane: FIFO on the lane's thread in plan start order (the
-  // modeled CPU expert pool is one serially-occupied resource).
-  for (std::size_t pos = 0; pos < board->cpu.size(); ++pos)
-    cpu_lane_->submit([this, board, pos] { run_cpu_task(*board, pos); });
-
-  // ---- Extra accelerator lanes (devices 2..N): each on its dedicated
-  // thread — dense head, then that device's tasks gated on their transfers.
-  for (std::size_t accel = 1; accel < num_links; ++accel) {
-    auto order = plan.device_order(sched::accelerator_device(accel));
+  // ---- Off-thread compute lanes, each its device's tasks in plan start
+  // order on its own thread: lanes_[0] is the CPU, which starts at t = 0;
+  // lanes_[a] is accelerator a >= 1, which first runs the dense head.
+  for (std::size_t lane = 0; lane < num_links; ++lane) {
+    auto order =
+        plan.device_order(lane == 0 ? sched::kCpuDevice : sched::accelerator_device(lane));
     if (order.empty()) continue;
     {
       std::lock_guard lock(board->m);
       ++board->lanes_remaining;
     }
-    gpu_lanes_[accel - 1]->submit(
-        [this, board, order = std::move(order), dense = plan.gpu_offset] {
-          // Publish lane completion even if a kernel throws — the engine
-          // thread is blocked on lanes_remaining; the error surfaces at the
-          // lane's rethrow_pending_error (end_step).
-          std::exception_ptr error;
-          try {
-            run_gpu_lane(*board, order, dense);
-          } catch (...) {
-            error = std::current_exception();
-          }
-          {
-            std::lock_guard lock(board->m);
-            --board->lanes_remaining;
-            board->cv.notify_all();
-          }
-          if (error) std::rethrow_exception(error);  // recorded by the lane's loop
-        });
-  }
-
-  // ---- Primary GPU lane (this thread): accelerator 0's lane.
-  run_gpu_lane(*board, gpu_order, plan.gpu_offset);
-
-  // ---- Barrier: the layer is done when every compute task has finished on
-  // every lane (every plan transfer completed earlier — its accelerator
-  // dependent waited on it).
-  {
-    std::unique_lock lock(board->m);
-    board->cv.wait(lock, [&board] {
-      return board->cpu_remaining == 0 && board->lanes_remaining == 0;
+    lanes_[lane]->submit([this, board, order = std::move(order),
+                          head = lane == 0 ? 0.0 : plan.gpu_offset] {
+      const auto error = capture([&] { run_lane(*board, order, head); });
+      std::lock_guard lock(board->m);
+      if (!board->error) board->error = error;
+      --board->lanes_remaining;
+      board->cv.notify_all();
     });
   }
-  cpu_lane_->rethrow_pending_error();
+
+  // ---- Accelerator 0's lane runs on this thread.
+  run_lane(*board, plan.device_order(sched::kGpuDevice), plan.gpu_offset);
+
+  // ---- Barrier: the layer is done when every lane has finished (every plan
+  // transfer completed earlier — its accelerator dependent waited on it).
+  {
+    std::unique_lock lock(board->m);
+    board->cv.wait(lock, [&board] { return board->lanes_remaining == 0; });
+    if (board->error) std::rethrow_exception(board->error);
+  }
 
   LayerResult result;
   // Unpaced steps report raw wall seconds (there is no modeled time to

@@ -2,38 +2,36 @@
 
 /// \file executor.hpp
 /// The real threaded execution backend: takes the same sched::LayerPlan the
-/// discrete-event simulator consumes and actually dispatches it. Every
-/// resource is one lane with one thread: CPU expert tasks run on the CPU
-/// lane's CopyEngine thread, transfers on one CopyEngine thread *per host
-/// link*, primary-GPU-lane work (dense phase + routed experts of accelerator
-/// 0) on the calling engine thread, and each further accelerator's lane on
-/// its own CopyEngine thread. The plan's dependencies are honored: an
-/// uncached accelerator expert cannot start before its transfer completes,
-/// and each lane is serially occupied in plan order. Lanes and copiers are
-/// created lazily from the device count the executed plans actually carry,
-/// so single-accelerator engines spawn exactly the threads they did under
-/// the CPU+GPU pair model.
+/// discrete-event simulator consumes and actually dispatches it. As in the
+/// simulator, every resource is one serially-occupied lane with one thread
+/// (a CopyEngine): one copier per host link runs the transfers, lanes_[0]
+/// runs the CPU's expert tasks and lanes_[a] accelerator a >= 1's, while
+/// accelerator 0 (dense phase + its routed experts) runs on the calling
+/// engine thread. All compute lanes share one body: an optional head (the
+/// dense phase on accelerators), then the device's tasks in plan order,
+/// each accelerator task gated on its transfer. Lanes and copiers are
+/// created lazily from the device count the executed plans carry, so a
+/// single-accelerator engine spawns one CPU lane and one copier.
 ///
 /// Every expert task runs a real expert forward pass at the store's
 /// functional dimensions (SIMD-dispatched, fp32 or Q4), and every transfer
-/// memcpys the expert's transfer blob into its link's staging buffer; then
-/// — in a paced
-/// step — sleeps to the scaled modeled duration (calibrated sleep), so
-/// wall-clock measurements validate the *concurrency structure* the
-/// scheduler claims — whether CPU compute, GPU compute and PCIe transfers
-/// genuinely overlap in real time (paper §V moves task allocation into C++
-/// for exactly this) — while remaining robust on small CI hosts. An unpaced
-/// step (ExecutionMode::Performance) keeps the identical lowering and
-/// dependency structure but drops every sleep, so the measured window is
-/// real kernel/copy time. Layer outputs are reduced in a fixed
-/// deterministic order, so threaded execution is bitwise-identical to the
-/// single-threaded reference, paced or not.
+/// memcpys the expert's transfer blob into its link's staging buffer; then,
+/// in a paced step, sleeps to the scaled modeled duration, so wall-clock
+/// measurements validate the *concurrency structure* the scheduler claims —
+/// whether CPU compute, GPU compute and PCIe transfers genuinely overlap in
+/// real time (paper §V moves task allocation into C++ for exactly this) —
+/// while remaining robust on small CI hosts. An unpaced step
+/// (ExecutionMode::Performance) keeps the identical lowering and dependency
+/// structure but drops every sleep, so the measured window is real
+/// kernel/copy time. Layer outputs are reduced in a fixed deterministic
+/// order, so threaded execution is bitwise-identical to the single-threaded
+/// reference, paced or not.
 ///
 /// Thread-safety: one executor drives one engine thread at a time —
 /// begin_step / execute_layer / pace_dense / end_step must be called from a
 /// single thread (the OffloadEngine step loop), and that thread doubles as
-/// the GPU lane. Internally the executor owns the CPU-lane, copy and extra
-/// accelerator threads; the ExpertStore is internally synchronized. Sharing one executor
+/// accelerator 0's lane. Internally the executor owns the lane and copy
+/// threads; the ExpertStore is internally synchronized. Sharing one executor
 /// across engines is fine as long as their steps do not interleave.
 
 #include <cstddef>
@@ -165,11 +163,12 @@ class HybridExecutor {
   /// that link's copy thread (in per-link transfer_order, followed by the
   /// `async_copies` routed to it — speculative uploads that are *not* waited
   /// on and spill into subsequent layers exactly like the modeled per-link
-  /// carry), queues CPU tasks on the CPU lane, runs the dense head
-  /// (`overhead` + plan.gpu_offset) and accelerator 0's tasks on the calling
-  /// thread, runs every further accelerator's lane on its dedicated thread,
-  /// and returns once every compute task of the plan has finished. Engine
-  /// thread only, inside a step; plan.tasks must be non-empty.
+  /// carry), runs the CPU's tasks and every further accelerator's lane on
+  /// their own threads, runs the dense head (`overhead` + plan.gpu_offset)
+  /// and accelerator 0's tasks on the calling thread, and returns once every
+  /// compute task of the plan has finished, rethrowing the first error a
+  /// compute lane hit. Engine thread only, inside a step; plan.tasks must be
+  /// non-empty.
   [[nodiscard]] LayerResult execute_layer(const sched::LayerPlan& plan, double overhead,
                                           std::span<const AsyncCopy> async_copies = {});
 
@@ -182,10 +181,10 @@ class HybridExecutor {
   /// lane. Engine thread only, inside a step.
   void pace_dense(double modeled_seconds);
 
-  /// Finish the step: waits for stragglers on the copy engine (their drain
-  /// time is *not* part of the measurement — the simulator resets PCIe
-  /// carry between steps the same way), rethrows any lane/copy-thread
-  /// error, and returns the step's accumulated measurement/digest.
+  /// Finish the step: waits for stragglers on the copiers (their drain time
+  /// is *not* part of the measurement — the simulator resets PCIe carry
+  /// between steps the same way), rethrows any copy-thread error, and
+  /// returns the step's accumulated measurement/digest.
   [[nodiscard]] StepResult end_step();
 
   /// Abandon an open step after a failure: quiesces the backend (waits for
@@ -219,16 +218,20 @@ class HybridExecutor {
 
  private:
   struct LayerBoard;
-  /// Lazily spawn the CPU lane plus one copy thread per link and one lane
-  /// thread per extra accelerator (num_links >= 1, num_lanes >= 0).
-  void ensure_started(std::size_t num_links, std::size_t num_lanes);
-  /// Run CPU-lane task `pos` of the board on the CPU lane thread.
-  void run_cpu_task(LayerBoard& board, std::size_t pos);
-  /// Run one accelerator's whole lane: dense head, then the tasks in
-  /// `order`, each gated on its transfer. Accelerator 0's lane runs on the
-  /// engine thread, every further one on its dedicated thread.
-  void run_gpu_lane(LayerBoard& board, std::span<const std::size_t> order,
-                    double dense_seconds);
+  /// Lazily spawn one copy thread and one compute lane per link: lanes_[0]
+  /// is the CPU, lanes_[a] accelerator a >= 1 (num_links >= 1).
+  void ensure_started(std::size_t num_links);
+  /// Run one compute lane: sleep `head_seconds` (0 on the CPU, the dense
+  /// phase on an accelerator), then the tasks in `order`, each gated on its
+  /// transfer. Accelerator 0's lane runs on the engine thread, every other
+  /// on its lanes_ thread.
+  void run_lane(LayerBoard& board, std::span<const std::size_t> order,
+                double head_seconds);
+  /// Queue one upload of `id` on `link`, paced to `seconds` modeled. With a
+  /// board, the job marks plan task `idx`'s transfer landed (even if the
+  /// copy throws); without one it is speculative and nothing waits on it.
+  void submit_copy(std::size_t link, moe::ExpertId id, double seconds,
+                   std::shared_ptr<LayerBoard> board = nullptr, std::size_t idx = 0);
   /// memcpy one expert's serialized transfer blob (fp32 or Q4, pre-built in
   /// the store's arena) into `scratch` (one reusable buffer per link).
   void copy_blob(moe::ExpertId id, std::vector<std::byte>& scratch);
@@ -243,9 +246,8 @@ class HybridExecutor {
   std::vector<std::unique_ptr<std::vector<std::byte>>> copy_scratch_;
   // Declaration order is load-bearing: the copy and lane threads are
   // destroyed (joined) before the store/scratch their tasks reference.
-  std::unique_ptr<CopyEngine> cpu_lane_;               ///< CPU expert lane
-  std::vector<std::unique_ptr<CopyEngine>> copiers_;   ///< one per link
-  std::vector<std::unique_ptr<CopyEngine>> gpu_lanes_; ///< accel 1.. lanes
+  std::vector<std::unique_ptr<CopyEngine>> copiers_;  ///< one per link
+  std::vector<std::unique_ptr<CopyEngine>> lanes_;    ///< [0] CPU, [a] accel a >= 1
   StepResult step_;
   bool in_step_ = false;
   bool paced_ = true;           ///< current step paces tasks (set by begin_step)

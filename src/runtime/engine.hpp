@@ -127,8 +127,9 @@ class OffloadEngine {
   /// latency in every mode; in Threaded mode the wall-clock measurement
   /// lands in metrics.measured_latency and the layer-output digest in
   /// metrics.exec_digest. Engine-thread only: in Threaded mode the calling
-  /// thread runs the GPU lane while the backend's FIFO lanes (one CopyEngine
-  /// for the CPU experts, one per link) run the rest.
+  /// thread runs accelerator 0's lane while the backend's FIFO lanes (one
+  /// CopyEngine for the CPU experts, one per further accelerator, one per
+  /// link) run the rest.
   double run_step(const workload::ForwardTrace& forward, sched::Stage stage,
                   StageMetrics& metrics);
 
