@@ -150,6 +150,21 @@ TEST(StackSpecTest, MalformedDocumentsFailWithOffsets) {
                  {"unknown execution mode 'treaded'", "did you mean 'threaded'?"});
 }
 
+TEST(StackSpecTest, MistypedNamesAreStampedOnce) {
+  // The name lookups restamp their own errors with the value's offset; a
+  // value of the wrong type is already stamped and must not be stamped twice.
+  for (const std::string key : {"warmup", "exec"}) {
+    try {
+      (void)parse_stack_spec("{\"" + key + "\": 3}");
+      FAIL() << "expected std::invalid_argument for '" << key << "'";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_EQ(std::string(e.what()), "stack spec error at offset " +
+                                           std::to_string(key.size() + 5) + ": '" + key +
+                                           "' must be a string");
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Validation.
 // ---------------------------------------------------------------------------
